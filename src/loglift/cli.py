@@ -130,11 +130,7 @@ def cmd_discover_lpms(opts: _Options) -> int:
     log = load_input(config)
     with _stage("discover-lpms"):
         from .lpm import discover_lpms
-        ranking = discover_lpms(log, max_activities=config.max_activities,
-                                beam_width=config.beam_width,
-                                min_support=config.min_support,
-                                max_results=config.max_results,
-                                state_limit=config.state_limit)
+        ranking = discover_lpms(log, **config.lpm_search())
         save_ranking(ranking, opts.out_dir)
     for model in ranking:
         print(f"rank {model.rank}: support={model.support} {model.tree}")

@@ -6,6 +6,12 @@ number of events covered when each trace is projected onto the model's
 activities and split into accepted runs (gamma segments) and leftover
 noise (lambda segments), maximizing the covered events.
 
+Support is computed by one forward pass per distinct projection over the
+pattern's subset automaton (memoised per pattern), and discovery shares
+each activity set's projections between all candidates over that set.
+segment() computes the split itself with the quadratic scan; it is the
+exact reference the forward pass is tested against.
+
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
 nested same-operator children are flattened, so equal-language duplicates
@@ -400,8 +406,73 @@ def _coverage_dp(ends: list[list[int]], m: int) -> list[int]:
     return best
 
 
-def _best_coverage(projected: list[str], rp: Replay) -> list[int]:
-    return _coverage_dp(_accepted_ends(projected, rp), len(projected))
+class _ForwardCoverage:
+    """Best coverage of projected words by one forward pass each.
+
+    A Viterbi pass over the replay's subset automaton. After j events the
+    pass keeps, for every live subset id, the best value best[i] - i over
+    the starts i of runs that reach that subset, stored as its slack over
+    best[j] - j. Slack can be negative: a run that started where best was
+    low may still end in the optimum, so every live entry is kept and
+    entries meeting in one subset merge by max. That state is interned, and
+    (state, activity) -> (next state, coverage gain) is memoised, so a word
+    costs one dict lookup per event once its transitions are known. Only
+    new transitions call Replay.step, on the same (subset, activity) pairs
+    segment's quadratic scan steps, so both hit the state limit alike.
+    """
+
+    def __init__(self, rp: Replay):
+        self._rp = rp
+        start = ((rp.start_set_id, 0),)
+        self._ids = {start: 0}
+        self._states = [start]
+        self._moves: list[dict[str, tuple[int, int]]] = [{}]
+
+    def __call__(self, projected) -> int:
+        moves = self._moves
+        state = 0
+        total = 0
+        for a in projected:
+            hit = moves[state].get(a)
+            if hit is None:
+                hit = self._advance(state, a)
+            state, gain = hit
+            total += gain
+        return total
+
+    def _advance(self, state: int, activity: str) -> tuple[int, int]:
+        rp = self._rp
+        dead = rp.empty_set_id
+        moved: dict[int, int] = {}
+        for sid, slack in self._states[state]:
+            nxt = rp.step(sid, activity)
+            if nxt != dead and (nxt not in moved or slack > moved[nxt]):
+                moved[nxt] = slack
+        accepting = rp._set_accepting
+        gain = max([0] + [s + 1 for sid, s in moved.items() if accepting[sid]])
+        entries = {sid: s + 1 - gain for sid, s in moved.items()}
+        start = rp.start_set_id
+        entries[start] = max(entries.get(start, 0), 0)
+        key = tuple(sorted(entries.items()))
+        nxt_state = self._ids.get(key)
+        if nxt_state is None:
+            nxt_state = len(self._states)
+            self._ids[key] = nxt_state
+            self._states.append(key)
+            self._moves.append({})
+        hit = (nxt_state, gain)
+        self._moves[state][activity] = hit
+        return hit
+
+
+def _projections(traces_acts, acts: frozenset[str]) -> Counter:
+    """Distinct projections of the traces onto acts, with multiplicities."""
+    return Counter(tuple(a for a in t if a in acts) for t in traces_acts)
+
+
+def _support(projections: Counter, rp: Replay) -> int:
+    coverage = _ForwardCoverage(rp)
+    return sum(coverage(p) * n for p, n in projections.items())
 
 
 def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMIT,
@@ -436,16 +507,13 @@ def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMI
 
 def support(log: EventLog, lpm: LocalProcessModel,
             state_limit: int = DEFAULT_STATE_LIMIT) -> int:
-    """Total events covered by accepted runs, summed over the whole log."""
-    rp = Replay(lpm.net, state_limit=state_limit)
-    acts = lpm.activities
-    projections = Counter()
-    for trace in log:
-        projections[tuple(a for a in _complete_activities(trace) if a in acts)] += 1
-    total = 0
-    for projected, count in projections.items():
-        total += _best_coverage(list(projected), rp)[0] * count
-    return total
+    """Total events covered by accepted runs, summed over the whole log.
+
+    One forward pass per distinct projection over the pattern's subset
+    automaton; segment() is the exact reference it is tested against.
+    """
+    projections = _projections((_complete_activities(t) for t in log), lpm.activities)
+    return _support(projections, Replay(lpm.net, state_limit=state_limit))
 
 
 # -------------------------------------------------------------- discovery
@@ -475,16 +543,16 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     if not eligible:
         raise LogliftError(f"no activity reaches min_support={min_support}")
 
+    # Candidates sharing an activity set (the operator variants of one
+    # expansion, and repeats across beam entries) share one projection.
+    by_acts: dict[frozenset[str], Counter] = {}
+
     def evaluate(tree: ProcessTree) -> int:
         acts = tree.activities()
-        rp = Replay(tree_to_net(tree), state_limit=state_limit)
-        projections = Counter()
-        for acts_list in traces_acts:
-            projections[tuple(a for a in acts_list if a in acts)] += 1
-        total = 0
-        for projected, count in projections.items():
-            total += _best_coverage(list(projected), rp)[0] * count
-        return total
+        projections = by_acts.get(acts)
+        if projections is None:
+            projections = by_acts[acts] = _projections(traces_acts, acts)
+        return _support(projections, Replay(tree_to_net(tree), state_limit=state_limit))
 
     pool: dict[str, tuple[ProcessTree, int]] = {}
     current: list[tuple[ProcessTree, int]] = []

@@ -48,6 +48,14 @@ class PipelineConfig:
     activity_col: str = "activity"
     time_col: str | None = None
 
+    def lpm_search(self) -> dict:
+        """Keyword arguments for discover_lpms."""
+        return {"max_activities": self.max_activities,
+                "beam_width": self.beam_width,
+                "min_support": self.min_support,
+                "max_results": self.max_results,
+                "state_limit": self.state_limit}
+
     def validate(self) -> None:
         if not 0 <= self.t_div <= 1:
             raise ConfigError(f"t_div must be in [0, 1], got {self.t_div}")
@@ -106,11 +114,7 @@ def run_stages(log: EventLog, config: PipelineConfig,
     config.validate()
     with _stage("discover-lpms"):
         if ranking is None:
-            ranking = discover_lpms(log, max_activities=config.max_activities,
-                                    beam_width=config.beam_width,
-                                    min_support=config.min_support,
-                                    max_results=config.max_results,
-                                    state_limit=config.state_limit)
+            ranking = discover_lpms(log, **config.lpm_search())
     with _stage("filter"):
         selected = filter_diverse(ranking, config.t_div, k=config.k,
                                   order=config.order)
@@ -205,11 +209,7 @@ def run_sweep(log: EventLog, config: PipelineConfig,
     baseline_f = ""
     ranking = LpmRanking()
     try:
-        ranking = discover_lpms(log, max_activities=config.max_activities,
-                                beam_width=config.beam_width,
-                                min_support=config.min_support,
-                                max_results=config.max_results,
-                                state_limit=config.state_limit)
+        ranking = discover_lpms(log, **config.lpm_search())
         baseline = evaluate(log, tree_to_net(discover_model(log, noise=config.noise)),
                             state_limit=config.state_limit)
         baseline_f = f"{baseline.f_score:.6f}"

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from loglift import (LocalProcessModel, LogliftError, LpmRanking, and_,
+from loglift import (LocalProcessModel, LogliftError, LpmRanking,
+                     SearchLimitError, and_,
                      discover_lpms, diversity, filter_diverse, jaccard,
                      language_upto, leaf, load_ranking, loop, make_lpm,
                      parse_tree, save_ranking, segment, seq, support, tau,
@@ -122,6 +123,10 @@ def test_segment_gammas_are_accepted_and_disjoint(n1_lpm):
 def test_support_counts_covered_events(n1_lpm):
     log = mk_log([GOLDEN, "AC", "XY"])
     assert support(log, n1_lpm) == 7 + 2 + 0
+    # the only optimal run is bacb (gamma (1, 5)); the run starting at b
+    # lags the best prefix coverage after ab and must still be kept
+    assert support(mk_log(["abacb"]),
+                   make_lpm(parse_tree("and(loop(b,c),a)"))) == 4
 
 
 # ------------------------------------------------------------- discovery
@@ -148,6 +153,15 @@ def test_discover_lpms_respects_min_support():
         assert model.tree.activities() <= {"a", "b"}
     with pytest.raises(LogliftError, match="min_support=5"):
         discover_lpms(log, max_activities=2, min_support=5)
+
+
+def test_lpm_scoring_state_limit_raises():
+    # "could not decide" must surface as an error, never as a lower support
+    log = mk_log(["abcab", "bca"])
+    with pytest.raises(SearchLimitError):
+        discover_lpms(log, max_activities=3, state_limit=3)
+    with pytest.raises(SearchLimitError):
+        support(log, make_lpm(parse_tree("and(a,b,c)")), state_limit=3)
 
 
 def test_discover_lpms_empty_log():
