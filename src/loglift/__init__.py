@@ -10,8 +10,7 @@ from .abstraction import (INTERLEAVING, PARALLEL, AbstractionModel,
                           abstract_log, abstract_trace, align, align_words,
                           compose, derive_lifecycle, make_pattern,
                           patterns_from_models)
-from .conformance import (QualityReport, evaluate, expand_model, f_score,
-                          fitness, precision)
+from .conformance import QualityReport, evaluate, expand_model, f_score
 from .discovery import DirectlyFollowsGraph, build_dfg, discover_model
 from .errors import (ConfigError, LogFormatError, LogliftError, PatternError,
                      SearchLimitError, StageError)
@@ -42,12 +41,11 @@ __all__ = [
     "abstract_log", "abstract_trace", "accepts", "align", "align_words",
     "and_", "build_dfg", "compose", "derive_lifecycle", "discover_lpms",
     "discover_model", "diversity", "evaluate", "expand_model", "f_score",
-    "filter_diverse", "fitness", "generate_log", "jaccard", "language_upto",
+    "filter_diverse", "generate_log", "jaccard", "language_upto",
     "leaf", "load_input", "load_log", "load_ranking", "loop", "make_lpm",
     "make_pattern", "min_visible_run_length", "parse_csv", "parse_pnml",
-    "parse_tree", "parse_xes", "patterns_from_models", "precision",
-    "project", "run_pipeline", "run_stages", "run_sweep", "sample_word",
-    "save_pnml", "save_ranking", "save_xes", "segment", "seq", "support",
-    "sweep_csv", "tau", "tree_to_net", "write_artifacts", "write_pnml",
+    "parse_tree", "parse_xes", "patterns_from_models", "project",
+    "run_pipeline", "run_stages", "run_sweep", "sample_word", "save_pnml",
+    "save_ranking", "save_xes", "segment", "seq", "support", "sweep_csv", "tau", "tree_to_net", "write_artifacts", "write_pnml",
     "write_xes", "xor",
 ]

@@ -364,7 +364,6 @@ class _Instance:
     pattern: str
     sync_indices: list[int] = field(default_factory=list)
     start_sync: int | None = None
-    complete_sync: int | None = None
     complete_modeled: bool = False
 
 
@@ -434,8 +433,6 @@ def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = F
                 inst.sync_indices.append(move.log_index)
                 if role == START and inst.start_sync is None:
                     inst.start_sync = move.log_index
-                if role == COMPLETE:
-                    inst.complete_sync = move.log_index
             elif move.kind == MODEL and role == COMPLETE:
                 inst.complete_modeled = True
 

@@ -10,6 +10,7 @@ configuration problem, 2 stage failure.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .abstraction import INTERLEAVING, PARALLEL, abstract_log, compose, patterns_from_models
@@ -18,7 +19,6 @@ from .discovery import discover_model
 from .errors import ConfigError, LogliftError, StageError
 from .eventlog import save_xes
 from .lpm import filter_diverse, load_ranking, parse_tree, save_ranking, tree_to_net
-from .petrinet import DEFAULT_STATE_LIMIT
 from .pipeline import (PipelineConfig, generate_log, load_input, run_pipeline,
                        run_sweep, sweep_csv, _stage)
 from .pnml import parse_pnml, save_pnml
@@ -33,19 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-_DEFAULTS = {
-    "k": 3, "t_div": 0.5, "composition": INTERLEAVING, "noise": 0.2,
-    "keep_foreign": False, "order": "topk_then_filter",
-    "state_limit": DEFAULT_STATE_LIMIT, "max_activities": 4,
-    "beam_width": 50, "max_results": 20, "min_support": 1,
-    "case_col": "case", "activity_col": "activity", "time_col": None,
-    "t_divs": None, "ks": None, "compositions": None,
-    "instances": 2, "traces": 50, "noise_rate": 0.0, "seed": 0,
-    "patterns": None, "input": None, "out": None, "out_dir": None,
-    "lpms": None, "model": None, "model_out": None, "tree_out": None,
-}
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -55,12 +42,19 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-_COERCE = {
-    "k": int, "t_div": float, "noise": float, "state_limit": int,
-    "max_activities": int, "beam_width": int, "max_results": int,
-    "min_support": int, "instances": int, "traces": int,
-    "noise_rate": float, "seed": int, "keep_foreign": _parse_bool,
-}
+_PARSERS = {bool: _parse_bool, int: int, float: float}
+
+# Every option as (default, parser of a config file value): the fields of
+# PipelineConfig, then the CLI's own generator, sweep-list and path options.
+_OPTIONS = {f.name: (f.default, _PARSERS.get(f.type, str))
+            for f in fields(PipelineConfig)}
+_OPTIONS.update({
+    "instances": (2, int), "traces": (50, int), "noise_rate": (0.0, float),
+    "seed": (0, int), "patterns": (None, str),
+    "t_divs": (None, str), "ks": (None, str), "compositions": (None, str),
+    "out": (None, str), "lpms": (None, str), "model": (None, str),
+    "model_out": (None, str), "tree_out": (None, str),
+})
 
 
 def _read_config(path: str) -> dict:
@@ -77,11 +71,10 @@ def _read_config(path: str) -> dict:
             raise ConfigError(f"{path}:{num}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{num}: unknown option {key!r}")
-        coerce = _COERCE.get(key, str)
         try:
-            values[key] = coerce(value)
+            values[key] = _OPTIONS[key][1](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{num}: bad value for {key}: {value!r}") from exc
     return values
@@ -99,20 +92,14 @@ class _Options:
             return self._flags[key]
         if key in self._file:
             return self._file[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
+        if key in _OPTIONS:
+            return _OPTIONS[key][0]
         raise AttributeError(key)
 
 
 def _pipeline_config(opts: _Options) -> PipelineConfig:
-    return PipelineConfig(
-        input=opts.input, out_dir=opts.out_dir, k=opts.k, t_div=opts.t_div,
-        composition=opts.composition, noise=opts.noise,
-        keep_foreign=opts.keep_foreign, order=opts.order,
-        state_limit=opts.state_limit, max_activities=opts.max_activities,
-        beam_width=opts.beam_width, max_results=opts.max_results,
-        min_support=opts.min_support, case_col=opts.case_col,
-        activity_col=opts.activity_col, time_col=opts.time_col)
+    return PipelineConfig(**{f.name: getattr(opts, f.name)
+                             for f in fields(PipelineConfig)})
 
 
 def _selected_patterns(opts: _Options):
@@ -195,7 +182,7 @@ def cmd_pipeline(opts: _Options) -> int:
 def _parse_list(text: str | None, coerce, fallback):
     if text is None:
         return fallback
-    return [coerce(part) for part in text.split(",") if part.strip()]
+    return [coerce(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def cmd_sweep(opts: _Options) -> int:

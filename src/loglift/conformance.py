@@ -99,16 +99,6 @@ def _distinct_words(log: EventLog) -> Counter:
     return Counter(tuple(e.activity for e in t.events if e.is_complete()) for t in log)
 
 
-def fitness(log: EventLog, net: AcceptingPetriNet,
-            state_limit: int = DEFAULT_STATE_LIMIT) -> float:
-    return evaluate(log, net, state_limit=state_limit).fitness
-
-
-def precision(log: EventLog, net: AcceptingPetriNet,
-              state_limit: int = DEFAULT_STATE_LIMIT) -> float:
-    return evaluate(log, net, state_limit=state_limit).precision
-
-
 def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
     """Fitness, precision, and F-score in one pass (alignments are shared)."""

@@ -39,9 +39,6 @@ class ProcessTree:
     def is_leaf(self) -> bool:
         return self.op is None
 
-    def is_silent(self) -> bool:
-        return self.op is None and self.label is None
-
     def activities(self) -> frozenset[str]:
         if self.op is None:
             return frozenset() if self.label is None else frozenset([self.label])

@@ -21,11 +21,6 @@ DEFAULT_STATE_LIMIT = 100_000
 Marking = dict[str, int]
 
 
-def marking_key(marking: Marking) -> tuple[tuple[str, int], ...]:
-    """Canonical hashable form of a marking; zero entries are dropped."""
-    return tuple(sorted((p, c) for p, c in marking.items() if c))
-
-
 @dataclass
 class PetriNet:
     places: set[str]
@@ -46,10 +41,6 @@ class PetriNet:
                 raise ValueError(f"label on unknown transition {t!r}")
             if not label:
                 raise ValueError(f"empty label on transition {t!r}")
-
-    def label_of(self, transition: str) -> str | None:
-        """Activity label, or None for a silent transition."""
-        return self.labels.get(transition)
 
     def preset(self, node: str) -> set[str]:
         return {src for src, dst in self.arcs if dst == node}
@@ -75,34 +66,6 @@ class AcceptingPetriNet:
 
     def alphabet(self) -> set[str]:
         return set(self.net.labels.values())
-
-
-# ------------------------------------------------------- firing (dict API)
-
-def enabled(net: PetriNet, marking: Marking) -> set[str]:
-    """Transitions whose every input place carries a token."""
-    out = set()
-    for t in net.transitions:
-        if all(marking.get(p, 0) >= 1 for p in net.preset(t)):
-            out.add(t)
-    return out
-
-
-def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
-    """Fire one transition; raises ValueError if it is not enabled."""
-    if transition not in net.transitions:
-        raise ValueError(f"unknown transition {transition!r}")
-    pre = net.preset(transition)
-    if not all(marking.get(p, 0) >= 1 for p in pre):
-        raise ValueError(f"transition {transition!r} is not enabled")
-    out = dict(marking)
-    for p in pre:
-        out[p] -= 1
-        if out[p] == 0:
-            del out[p]
-    for p in net.postset(transition):
-        out[p] = out.get(p, 0) + 1
-    return out
 
 
 # -------------------------------------------------------- dense replay core
@@ -165,9 +128,6 @@ class Replay:
         for p, c in marking.items():
             counts[self._pidx[p]] = c
         return tuple(counts)
-
-    def to_marking(self, mid: int) -> Marking:
-        return {self.places[i]: c for i, c in enumerate(self._marks[mid]) if c}
 
     def intern(self, dense: tuple[int, ...]) -> int:
         mid = self._mark_ids.get(dense)
@@ -245,17 +205,6 @@ class Replay:
         self._set_step[key] = out
         return out
 
-    def accepting(self, sid: int) -> bool:
-        return self._set_accepting[sid]
-
-    def replay_word(self, word) -> bool:
-        sid = self.start_set_id
-        for a in word:
-            sid = self.step(sid, a)
-            if sid == self.empty_set_id:
-                return False
-        return self._set_accepting[sid]
-
     def enabled_visible_labels(self, mid: int) -> tuple[str, ...]:
         cached = self._enabled_vis.get(mid)
         if cached is None:
@@ -269,50 +218,20 @@ class Replay:
 
 # ------------------------------------------------------------- acceptance
 
-def accepts(apn: AcceptingPetriNet, word, step_bound: int | None = None,
+def accepts(apn: AcceptingPetriNet, word,
             state_limit: int = DEFAULT_STATE_LIMIT) -> bool:
     """Decide whether the net accepts the word.
 
-    With a step_bound, only firing sequences of at most that many
-    transitions (silent ones included) are considered; the bound must not
-    be smaller than the word. Without one, the search is exhaustive over
-    the reachable state space, guarded by state_limit.
+    Runs the word through Replay's subset automaton: one closed marking
+    set per prefix, accepting when the final marking is in the last set.
     """
-    word = list(word)
-    if step_bound is not None and step_bound < len(word):
-        raise ValueError(f"step_bound {step_bound} smaller than word length {len(word)}")
     rp = Replay(apn, state_limit=state_limit)
-    target = (rp.final_id, len(word))
-    start = (rp.initial_id, 0)
-    if start == target:
-        return True
-    seen = {start}
-    frontier = [start]
-    steps = 0
-    while frontier:
-        steps += 1
-        if step_bound is not None and steps > step_bound:
+    sid = rp.start_set_id
+    for a in word:
+        sid = rp.step(sid, a)
+        if sid == rp.empty_set_id:
             return False
-        nxt = []
-        for mid, pos in frontier:
-            for t in rp.enabled_ts(mid):
-                label = rp.labels[t]
-                if label is None:
-                    new = (rp.fire_t(mid, t), pos)
-                elif pos < len(word) and label == word[pos]:
-                    new = (rp.fire_t(mid, t), pos + 1)
-                else:
-                    continue
-                if new == target:
-                    return True
-                if new not in seen:
-                    if len(seen) >= state_limit:
-                        raise SearchLimitError(
-                            f"state limit {state_limit} exceeded while deciding acceptance")
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return False
+    return rp._set_accepting[sid]
 
 
 def language_upto(apn: AcceptingPetriNet, max_visible_len: int,
@@ -320,7 +239,7 @@ def language_upto(apn: AcceptingPetriNet, max_visible_len: int,
     """All accepted words of at most the given visible length.
 
     Test oracle and analysis helper; enumeration is breadth-first over
-    (marking, word) pairs with the same state-limit guard as accepts().
+    (marking, word) pairs, at most state_limit of them.
     """
     rp = Replay(apn, state_limit=state_limit)
     seen: set[tuple[int, tuple[str, ...]]] = set()

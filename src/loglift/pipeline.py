@@ -9,8 +9,8 @@ lives in generate_log; the pipeline itself is deterministic.
 
 import random
 import string
-from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .abstraction import (INTERLEAVING, PARALLEL, AbstractionModel,
@@ -29,10 +29,16 @@ SWEEP_KS = [1, 2, 3, 4, 5]
 SWEEP_COMPOSITIONS = [INTERLEAVING, PARALLEL]
 
 
+def _io(default=None):
+    """A field saying where or how the log is read or the run written: not
+    a run parameter, so config_text leaves it out."""
+    return field(default=default, metadata={"io": True})
+
+
 @dataclass
 class PipelineConfig:
-    input: str | None = None
-    out_dir: str | None = None
+    input: str | None = _io()
+    out_dir: str | None = _io()
     k: int = 3
     t_div: float = 0.5
     composition: str = INTERLEAVING
@@ -44,9 +50,9 @@ class PipelineConfig:
     beam_width: int = 50
     max_results: int = 20
     min_support: int = 1
-    case_col: str = "case"
-    activity_col: str = "activity"
-    time_col: str | None = None
+    case_col: str = _io("case")
+    activity_col: str = _io("activity")
+    time_col: str | None = _io()
 
     def lpm_search(self) -> dict:
         """Keyword arguments for discover_lpms."""
@@ -82,18 +88,15 @@ class PipelineResult:
     baseline_report: QualityReport
 
 
+@contextmanager
 def _stage(name: str):
     """Re-raise domain errors with the failing stage attached."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, LogliftError) \
-                    and not isinstance(exc, StageError):
-                raise StageError(name, str(exc)) from exc
-            return False
-    return _Ctx()
+    try:
+        yield
+    except StageError:
+        raise
+    except LogliftError as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def load_input(config: PipelineConfig) -> EventLog:
@@ -146,18 +149,17 @@ def report_csv(reports: dict[str, QualityReport]) -> str:
 
 
 def config_text(config: PipelineConfig) -> str:
-    """key=value dump, readable back as a --config file."""
-    pairs = [
-        ("k", config.k), ("t_div", config.t_div),
-        ("composition", config.composition), ("noise", config.noise),
-        ("keep_foreign", str(config.keep_foreign).lower()),
-        ("order", config.order), ("state_limit", config.state_limit),
-        ("max_activities", config.max_activities),
-        ("beam_width", config.beam_width),
-        ("max_results", config.max_results),
-        ("min_support", config.min_support),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    """key=value dump of the run parameters, readable back as a --config
+    file."""
+    lines = []
+    for f in fields(config):
+        if f.metadata.get("io"):
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{f.name}={value}\n")
+    return "".join(lines)
 
 
 def write_artifacts(out_dir: str, result: PipelineResult,
@@ -231,6 +233,9 @@ def run_sweep(log: EventLog, config: PipelineConfig,
                 try:
                     if shared_error is not None:
                         raise LogliftError(shared_error)
+                    cell = replace(config, k=k, t_div=t_div,
+                                   composition=composition)
+                    cell.validate()
                     selected = filter_diverse(ranking, t_div, k=k,
                                               order=config.order)
                     if not selected:
@@ -238,12 +243,6 @@ def run_sweep(log: EventLog, config: PipelineConfig,
                     key = (tuple(m.key for m in selected), composition)
                     hit = cache.get(key)
                     if hit is None:
-                        cell = PipelineConfig(
-                            k=k, t_div=t_div, composition=composition,
-                            noise=config.noise,
-                            keep_foreign=config.keep_foreign,
-                            order=config.order,
-                            state_limit=config.state_limit)
                         result = run_stages(log, cell, ranking=ranking)
                         hit = (result.report, None)
                         cache[key] = hit

@@ -1,0 +1,53 @@
+"""Public names, and the names the benchmark under bench/ relies on.
+
+The benchmark drives loglift through module attributes and is not part of
+this suite, so a deleted or renamed name would otherwise break it
+unnoticed.
+"""
+
+import ast
+import importlib
+import json
+from dataclasses import fields
+from pathlib import Path
+
+import loglift
+from loglift.pipeline import PipelineConfig
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# local names the bench scripts bind to loglift modules
+BENCH_MODULES = {"ll": "loglift", "loglift": "loglift",
+                 "pipeline": "loglift.pipeline"}
+
+
+def test_all_names_resolve():
+    assert [n for n in loglift.__all__ if not hasattr(loglift, n)] == []
+
+
+def test_bench_wrapped_attributes_exist():
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["WRAPPED"])
+    assert wrapped
+    missing = [(module, attr) for module, attr, *_ in wrapped
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def test_bench_called_names_exist():
+    used = set()
+    for name in ("run.py", "checks.py", "tieback.py"):
+        for node in ast.walk(ast.parse((BENCH / name).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in BENCH_MODULES:
+                used.add((BENCH_MODULES[node.value.id], node.attr))
+    assert {("loglift", n) for n in ("LpmRanking", "make_lpm", "save_ranking",
+                                     "f_score", "tree_to_net")} <= used
+    missing = sorted((module, attr) for module, attr in used
+                     if not hasattr(importlib.import_module(module), attr))
+    assert missing == []
+    spec = json.loads((BENCH / "workloads.json").read_text())
+    config_keys = set().union(*(w["config"] for w in spec["workloads"].values()))
+    assert config_keys <= {f.name for f in fields(PipelineConfig)}

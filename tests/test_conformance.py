@@ -3,8 +3,8 @@
 import pytest
 
 from loglift import (INTERLEAVING, PatternError, compose, evaluate,
-                     expand_model, f_score, fitness, language_upto, make_lpm,
-                     make_pattern, parse_tree, precision, tree_to_net)
+                     expand_model, f_score, language_upto, make_lpm,
+                     make_pattern, parse_tree, tree_to_net)
 from conftest import mk_log
 
 
@@ -82,16 +82,16 @@ def test_expand_model_rejects_multi_token_pattern_marking():
 
 def test_fitness_perfect_and_degraded():
     apn = tree_to_net(parse_tree("seq(a,b)"))
-    assert fitness(mk_log(["ab", "ab"]), apn) == pytest.approx(1.0)
+    assert evaluate(mk_log(["ab", "ab"]), apn).fitness == pytest.approx(1.0)
     # one log move against |trace| + shortest-run normalization: 1 - 1/(3+2)
-    assert fitness(mk_log(["axb"]), apn) == pytest.approx(1 - 1 / 5)
+    assert evaluate(mk_log(["axb"]), apn).fitness == pytest.approx(1 - 1 / 5)
     # completely foreign trace of length 2: cost 4, denom 2 + 2
-    assert fitness(mk_log(["xy"]), apn) == pytest.approx(0.0)
+    assert evaluate(mk_log(["xy"]), apn).fitness == pytest.approx(0.0)
 
 
 def test_fitness_empty_trace_against_tau_accepting_net():
     apn = tree_to_net(parse_tree("xor(a,tau)"))
-    assert fitness(mk_log([""]), apn) == pytest.approx(1.0)
+    assert evaluate(mk_log([""]), apn).fitness == pytest.approx(1.0)
 
 
 def test_evaluate_empty_log_is_perfect():
@@ -101,13 +101,13 @@ def test_evaluate_empty_log_is_perfect():
 
 def test_precision_perfect_for_exact_model():
     apn = tree_to_net(parse_tree("seq(a,b)"))
-    assert precision(mk_log(["ab", "ab"]), apn) == pytest.approx(1.0)
+    assert evaluate(mk_log(["ab", "ab"]), apn).precision == pytest.approx(1.0)
 
 
 def test_precision_flower_regression_constant():
     # flower over {a, b} scored against [<a, b>]: exactly 1/3 escaping-based
     flower = tree_to_net(parse_tree("loop(xor(a,b),tau)"))
-    assert precision(mk_log(["ab"]), flower) == pytest.approx(1 / 3)
+    assert evaluate(mk_log(["ab"]), flower).precision == pytest.approx(1 / 3)
 
 
 def test_precision_antitone_under_added_behavior():
@@ -115,9 +115,9 @@ def test_precision_antitone_under_added_behavior():
     tight = tree_to_net(parse_tree("seq(a,b)"))
     loose = tree_to_net(parse_tree("seq(a,xor(b,c))"))
     flower = tree_to_net(parse_tree("loop(xor(a,b,c),tau)"))
-    p_tight = precision(log, tight)
-    p_loose = precision(log, loose)
-    p_flower = precision(log, flower)
+    p_tight = evaluate(log, tight).precision
+    p_loose = evaluate(log, loose).precision
+    p_flower = evaluate(log, flower).precision
     assert p_tight > p_loose > p_flower
 
 

@@ -5,8 +5,7 @@ import pytest
 from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
                      accepts, language_upto, make_lpm, min_visible_run_length,
                      parse_pnml, parse_tree, save_pnml, tree_to_net, write_pnml)
-from loglift.petrinet import enabled, fire, marking_key
-from conftest import N1_TEXT, all_words
+from conftest import N1_TEXT
 
 
 def hand_net():
@@ -18,20 +17,14 @@ def hand_net():
 
 
 def test_enabled_and_fire():
-    apn = hand_net()
-    m0 = dict(apn.initial)
-    assert enabled(apn.net, m0) == {"t1"}
-    m1 = fire(apn.net, m0, "t1")
-    assert m1 == {"p2": 1}
-    assert enabled(apn.net, m1) == {"t2"}
-    with pytest.raises(ValueError):
-        fire(apn.net, m1, "t1")
-    assert fire(apn.net, m1, "t2") == {"p3": 1}
-
-
-def test_marking_key_drops_zeros():
-    assert marking_key({"a": 1, "b": 0}) == (("a", 1),)
-    assert marking_key({}) == ()
+    rp = Replay(hand_net())
+    t1, t2 = rp.transitions.index("t1"), rp.transitions.index("t2")
+    m0 = rp.initial_id
+    assert rp.enabled_ts(m0) == [t1]
+    m1 = rp.fire_t(m0, t1)
+    assert m1 == rp.intern(tuple(int(p == "p2") for p in rp.places))
+    assert rp.enabled_ts(m1) == [t2]
+    assert rp.fire_t(m1, t2) == rp.final_id
 
 
 def test_validate_rejects_bad_nets():
@@ -56,13 +49,6 @@ def test_accepts_simple_sequence():
     assert not accepts(apn, ["b", "a"])
     assert not accepts(apn, [])
     assert not accepts(apn, ["a", "b", "b"])
-
-
-def test_accepts_with_step_bound():
-    apn = hand_net()
-    assert accepts(apn, ["a", "b"], step_bound=2)
-    with pytest.raises(ValueError):
-        accepts(apn, ["a", "b"], step_bound=1)
 
 
 def test_language_upto_simple():
@@ -92,12 +78,6 @@ def test_replay_state_limit_guard():
     apn = AcceptingPetriNet(net=net, initial={"q": 1}, final={})
     with pytest.raises(SearchLimitError):
         language_upto(apn, 50, state_limit=30)
-
-
-def test_replay_word_matches_accepts(n1_lpm):
-    rp = Replay(n1_lpm.net)
-    for word in all_words(("A", "B", "C"), 4):
-        assert rp.replay_word(list(word)) == accepts(n1_lpm.net, word)
 
 
 def test_multi_token_final_marking():

@@ -2,6 +2,7 @@
 
 import os
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -9,7 +10,8 @@ from loglift import (ConfigError, LpmRanking, PipelineConfig, StageError,
                      generate_log, load_log, parse_pnml, parse_tree,
                      run_pipeline, run_stages, run_sweep, sample_word,
                      save_xes, sweep_csv, tree_to_net, accepts)
-from loglift.cli import main
+from loglift.cli import _read_config, main
+from loglift.pipeline import config_text
 from conftest import mk_log
 
 
@@ -27,6 +29,35 @@ def small_config(**kw):
 
 
 # ----------------------------------------------------------------- config
+
+def test_run_config_text_golden_and_reload(tmp_path):
+    config = PipelineConfig(input="in.xes", out_dir="run", k=2, t_div=0.25,
+                            composition="parallel", noise=0.1,
+                            keep_foreign=True, order="filter_then_topk",
+                            state_limit=5000, max_activities=3, beam_width=7,
+                            max_results=9, min_support=2, case_col="c",
+                            activity_col="a", time_col="t")
+    text = config_text(config)
+    assert text == ("k=2\n"
+                    "t_div=0.25\n"
+                    "composition=parallel\n"
+                    "noise=0.1\n"
+                    "keep_foreign=true\n"
+                    "order=filter_then_topk\n"
+                    "state_limit=5000\n"
+                    "max_activities=3\n"
+                    "beam_width=7\n"
+                    "max_results=9\n"
+                    "min_support=2\n")
+    path = tmp_path / "run_config.txt"
+    path.write_text(text)
+    back = PipelineConfig(input="in.xes", out_dir="run", case_col="c",
+                          activity_col="a", time_col="t",
+                          **_read_config(str(path)))
+    assert back == config
+    for f in fields(PipelineConfig):
+        assert type(getattr(back, f.name)) is type(getattr(config, f.name)), f.name
+
 
 def test_config_validation():
     PipelineConfig().validate()
@@ -105,6 +136,7 @@ def test_run_pipeline_writes_all_artifacts(tmp_path):
     assert report[0] == "model,fitness,precision,f_score"
     assert report[1].startswith("expanded,")
     assert report[2].startswith("baseline,")
+    assert (out_dir / "run_config.txt").read_text() == config_text(config)
     tree_text = (out_dir / "model.tree.txt").read_text().strip()
     assert str(result.tree) == tree_text
     parse_pnml(str(out_dir / "expanded.pnml")).validate()
@@ -181,13 +213,16 @@ def test_run_sweep_discovery_failure_fills_grid_with_error_rows():
 
 def test_run_sweep_bad_cell_becomes_error_row():
     log = planted_log(traces=8)
-    rows = run_sweep(log, small_config(), t_divs=[0.5], ks=[1],
-                     compositions=["interleaving", "bogus"], log_name="toy")
-    assert [r["status"] for r in rows] == ["ok", "error"]
-    assert rows[0]["f_score"] != ""
-    assert rows[1]["error"] != ""
-    # the shared baseline is still reported for the failed cell
-    assert rows[1]["baseline_f_score"] == rows[0]["baseline_f_score"] != ""
+    # each grid's second cell holds a value the config rejects
+    for grid in (dict(t_divs=[0.5], ks=[1], compositions=["interleaving", "bogus"]),
+                 dict(t_divs=[0.5, 1.5], ks=[1], compositions=["interleaving"]),
+                 dict(t_divs=[0.5], ks=[1, 0], compositions=["interleaving"])):
+        rows = run_sweep(log, small_config(), log_name="toy", **grid)
+        assert [r["status"] for r in rows] == ["ok", "error"], grid
+        assert rows[0]["f_score"] != ""
+        assert rows[1]["error"] != ""
+        # the shared baseline is still reported for the failed cell
+        assert rows[1]["baseline_f_score"] == rows[0]["baseline_f_score"] != ""
 
 
 # -------------------------------------------------------------- generator
@@ -312,6 +347,16 @@ def test_cli_sweep_small_grid(tmp_path, capsys, cli_log):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 4
+    # spaces around list items are not part of the values
+    code = main(["sweep", "--input", cli_log, "--out", str(out),
+                 "--t-divs", " 0.5", "--ks", "1 ",
+                 "--compositions", "interleaving, parallel",
+                 "--max-activities", "3", "--beam-width", "10",
+                 "--max-results", "6"])
+    assert code == 0
+    header, *rows = out.read_text().strip().splitlines()
+    status = header.split(",").index("status")
+    assert [row.split(",")[status] for row in rows] == ["ok", "ok"]
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
