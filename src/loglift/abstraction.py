@@ -28,10 +28,10 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import PatternError, SearchLimitError
-from .eventlog import COMPLETE, START, Event, EventLog, Trace
+from .eventlog import COMPLETE, START, Event, EventLog, Trace, complete_word
 from .lpm import LocalProcessModel, ProcessTree
-from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, Marking,
-                       PetriNet, Replay)
+from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
+                       Replay, splice)
 
 INTERLEAVING = "interleaving"
 PARALLEL = "parallel"
@@ -126,31 +126,9 @@ class AbstractionModel:
         return out
 
 
-def _embed(pattern: ActivityPattern, places, transitions, arcs, labels, tags):
-    """Copy a pattern net with prefixed ids; returns (initial places, final places)."""
-    prefix = pattern.name + "__"
-    for p in pattern.net.net.places:
-        places.add(prefix + p)
-    for t in pattern.net.net.transitions:
-        tid = prefix + t
-        transitions.add(tid)
-        label = pattern.net.net.labels.get(t)
-        if label is not None:
-            labels[tid] = label
-        tags[tid] = (pattern.name, pattern.lifecycle.get(t))
-    for src, dst in pattern.net.net.arcs:
-        arcs.add((prefix + src, prefix + dst))
-    for name, marking in (("initial", pattern.net.initial), ("final", pattern.net.final)):
-        for p, c in marking.items():
-            if c > 1:
-                raise PatternError(
-                    f"pattern {pattern.name} has a multi-token {name} marking; "
-                    "composition needs one token per place")
-    init = [prefix + p for p, c in sorted(pattern.net.initial.items()) if c]
-    fin = [prefix + p for p, c in sorted(pattern.net.final.items()) if c]
-    if not init or not fin:
-        raise PatternError(f"pattern {pattern.name} needs non-empty initial and final markings")
-    return init, fin
+def _prefix(name: str) -> str:
+    """Id prefix of a pattern's copy inside the abstraction model."""
+    return name + "__"
 
 
 def compose(patterns: list[ActivityPattern], composition: str = INTERLEAVING) -> AbstractionModel:
@@ -169,48 +147,24 @@ def compose(patterns: list[ActivityPattern], composition: str = INTERLEAVING) ->
     if composition not in (INTERLEAVING, PARALLEL):
         raise ValueError(f"unknown composition {composition!r}")
 
-    places: set[str] = {"src", "snk"}
-    transitions: set[str] = set()
-    arcs: set[tuple[str, str]] = set()
-    labels: dict[str, str] = {}
+    host = PetriNet(places={"src", "snk"}, transitions={"begin", "end"},
+                    arcs={("src", "begin"), ("end", "snk")})
     tags: dict[str, tuple[str, str | None]] = {}
     open_taus: dict[str, str] = {}
     close_taus: dict[str, str] = {}
+    for pattern in patterns:
+        name = pattern.name
+        hub = "hub" if composition == INTERLEAVING else f"hub__{name}"
+        host.places.add(hub)
+        host.arcs.update({("begin", hub), (hub, "end")})
+        prefix, t_open, t_close = _prefix(name), f"open__{name}", f"close__{name}"
+        splice(host, pattern.net, prefix, name, [hub], [hub], t_open, t_close)
+        tags.update((prefix + t, (name, pattern.lifecycle.get(t)))
+                    for t in pattern.net.net.transitions)
+        open_taus[t_open] = name
+        close_taus[t_close] = name
 
-    def wire_loop(hub: str, pattern: ActivityPattern):
-        init, fin = _embed(pattern, places, transitions, arcs, labels, tags)
-        t_open = f"open__{pattern.name}"
-        t_close = f"close__{pattern.name}"
-        transitions.add(t_open)
-        transitions.add(t_close)
-        open_taus[t_open] = pattern.name
-        close_taus[t_close] = pattern.name
-        arcs.add((hub, t_open))
-        for p in init:
-            arcs.add((t_open, p))
-        for p in fin:
-            arcs.add((p, t_close))
-        arcs.add((t_close, hub))
-
-    if composition == INTERLEAVING:
-        places.add("hub")
-        transitions.update(("begin", "end"))
-        arcs.update({("src", "begin"), ("begin", "hub"), ("hub", "end"), ("end", "snk")})
-        for pattern in patterns:
-            wire_loop("hub", pattern)
-    else:
-        transitions.update(("begin", "end"))
-        arcs.update({("src", "begin"), ("end", "snk")})
-        for pattern in patterns:
-            hub = f"hub__{pattern.name}"
-            places.add(hub)
-            arcs.add(("begin", hub))
-            arcs.add((hub, "end"))
-            wire_loop(hub, pattern)
-
-    apn = AcceptingPetriNet(net=PetriNet(places=places, transitions=transitions,
-                                         arcs=arcs, labels=labels),
-                            initial={"src": 1}, final={"snk": 1})
+    apn = AcceptingPetriNet(net=host, initial={"src": 1}, final={"snk": 1})
     apn.validate()
     return AbstractionModel(net=apn, patterns=list(patterns), composition=composition,
                             instance_tags=tags, open_taus=open_taus, close_taus=close_taus)
@@ -231,8 +185,7 @@ class _GapOracle:
         self._rp = rp
         self._subnets: list[tuple[tuple[int, ...], frozenset[str]]] = []
         for pat in model.patterns:
-            prefix = pat.name + "__"
-            idx = tuple(i for i, p in enumerate(rp.places) if p.startswith(prefix))
+            idx = tuple(rp._pidx[_prefix(pat.name) + p] for p in pat.net.net.places)
             self._subnets.append((idx, pat.activities))
         self._cache: dict[int, frozenset[str]] = {}
 
@@ -346,10 +299,7 @@ def align(trace, model: AbstractionModel | AcceptingPetriNet,
     Given an AbstractionModel, gap moves are tracked so occurrences stay
     contiguous; a plain net aligns on cost and model moves alone.
     """
-    if isinstance(trace, Trace):
-        events = [e.activity for e in trace.events if e.is_complete()]
-    else:
-        events = list(trace)
+    events = complete_word(trace)
     if isinstance(model, AbstractionModel):
         rp = Replay(model.net, state_limit=state_limit)
         return align_words(events, model.net, state_limit=state_limit,

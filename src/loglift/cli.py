@@ -198,6 +198,10 @@ def cmd_sweep(opts: _Options) -> int:
                      compositions=compositions, log_name=opts.input)
     Path(opts.out).write_text(sweep_csv(rows))
     print(f"{len(rows)} rows -> {opts.out}")
+    if not any(row["status"] == "ok" for row in rows):
+        first = next((row["error"] for row in rows), "the grid has no cells")
+        print(f"loglift: no sweep cell succeeded: {first}", file=sys.stderr)
+        return 2
     return 0
 
 

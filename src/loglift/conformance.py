@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from .abstraction import MODEL, SYNC, TAU, align_words
 from .errors import PatternError
-from .eventlog import EventLog
+from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
-                       Replay, min_visible_run_length)
+                       Replay, min_visible_run_length, splice)
 
 
 @dataclass
@@ -50,59 +50,29 @@ def expand_model(high_net: AcceptingPetriNet,
     high = high_net.net
     replaced = {t for t in high.transitions if high.labels.get(t) in by_name}
 
-    places = set(high.places)
-    transitions = set(high.transitions) - replaced
-    labels = {t: lab for t, lab in high.labels.items() if t not in replaced}
-    arcs = {(a, b) for a, b in high.arcs if a not in replaced and b not in replaced}
-
+    host = PetriNet(places=set(high.places), transitions=high.transitions - replaced,
+                    arcs={(a, b) for a, b in high.arcs
+                          if a not in replaced and b not in replaced},
+                    labels={t: lab for t, lab in high.labels.items() if t not in replaced})
     for t in sorted(replaced):
         pattern = by_name[high.labels[t]]
-        prefix = t + "__"
-        sub = pattern.net
-        for marking in (sub.initial, sub.final):
-            if any(c > 1 for c in marking.values()):
-                raise PatternError(
-                    f"pattern {pattern.name} has a multi-token marking; "
-                    "expansion needs one token per place")
-        for p in sub.net.places:
-            places.add(prefix + p)
-        for tt in sub.net.transitions:
-            transitions.add(prefix + tt)
-            lab = sub.net.labels.get(tt)
-            if lab is not None:
-                labels[prefix + tt] = lab
-        for a, b in sub.net.arcs:
-            arcs.add((prefix + a, prefix + b))
-        t_in, t_out = prefix + "in", prefix + "out"
+        t_in, t_out = t + "__in", t + "__out"
         if t_in in high.transitions or t_out in high.transitions:
             raise PatternError(f"transition id {t_in!r}/{t_out!r} already taken")
-        transitions.update((t_in, t_out))
-        for p in high.preset(t):
-            arcs.add((p, t_in))
-        for p, c in sorted(sub.initial.items()):
-            if c:
-                arcs.add((t_in, prefix + p))
-        for p, c in sorted(sub.final.items()):
-            if c:
-                arcs.add((prefix + p, t_out))
-        for p in high.postset(t):
-            arcs.add((t_out, p))
+        splice(host, pattern.net, t + "__", pattern.name,
+               high.preset(t), high.postset(t), t_in, t_out)
 
-    apn = AcceptingPetriNet(net=PetriNet(places=places, transitions=transitions,
-                                         arcs=arcs, labels=labels),
-                            initial=dict(high_net.initial), final=dict(high_net.final))
+    apn = AcceptingPetriNet(net=host, initial=dict(high_net.initial),
+                            final=dict(high_net.final))
     apn.validate()
     return apn
-
-
-def _distinct_words(log: EventLog) -> Counter:
-    return Counter(tuple(e.activity for e in t.events if e.is_complete()) for t in log)
 
 
 def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
     """Fitness, precision, and F-score in one pass (alignments are shared)."""
-    words = _distinct_words(log)
+    trace_words = [complete_word(t) for t in log]
+    words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
     rp = Replay(net, state_limit=state_limit)
@@ -121,7 +91,7 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
     fit_sum = 0.0
     total = 0
     for word, mult in words.items():
-        alignment = align_words(list(word), net, state_limit=state_limit, replay=rp)
+        alignment = align_words(word, net, state_limit=state_limit, replay=rp)
         cost_of[word] = alignment.cost
         denom = len(word) + minlen
         fit_sum += mult * (1.0 - alignment.cost / denom if denom else 1.0)
@@ -164,7 +134,5 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
 
     fit = fit_sum / total
     prec = 1.0 - escaping / enabled_total if enabled_total else 1.0
-    costs = [cost_of[tuple(e.activity for e in t.events if e.is_complete())]
-             for t in log]
-    return QualityReport(fitness=fit, precision=prec,
-                         f_score=f_score(fit, prec), trace_costs=costs)
+    return QualityReport(fitness=fit, precision=prec, f_score=f_score(fit, prec),
+                         trace_costs=[cost_of[w] for w in trace_words])

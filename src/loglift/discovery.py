@@ -12,7 +12,7 @@ every input trace fits the discovered model.
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .eventlog import EventLog
+from .eventlog import EventLog, complete_word
 from .lpm import ProcessTree, and_, leaf, loop, seq, tau, xor
 
 
@@ -70,7 +70,7 @@ def build_dfg(log: EventLog, noise: float = 0.0) -> DirectlyFollowsGraph:
     (and start/end entries) below noise x the strongest sibling removed."""
     if not 0 <= noise < 1:
         raise ValueError(f"noise must be in [0, 1), got {noise}")
-    traces = Counter(tuple(e.activity for e in t.events if e.is_complete()) for t in log)
+    traces = Counter(complete_word(t) for t in log)
     return _filter_noise(_dfg_of_counter(traces), noise)
 
 
@@ -298,5 +298,5 @@ def discover_model(log: EventLog, noise: float = 0.0) -> ProcessTree:
     """Discover a process tree for the log's complete-lifecycle behavior."""
     if not 0 <= noise < 1:
         raise ValueError(f"noise must be in [0, 1), got {noise}")
-    traces = Counter(tuple(e.activity for e in t.events if e.is_complete()) for t in log)
+    traces = Counter(complete_word(t) for t in log)
     return _discover(traces, noise)

@@ -1,4 +1,5 @@
-"""Event logs: in-memory model plus XES and CSV readers and an XES writer.
+"""Event logs: in-memory model plus XES and CSV readers and an XES writer,
+and the XML reading and writing that PNML shares.
 
 A log is an ordered list of traces (a multiset: repeated traces appear
 repeatedly), a trace is a case id plus an ordered list of events, and an
@@ -75,11 +76,43 @@ def project(trace: Trace, activities) -> Trace:
     return Trace(case_id=trace.case_id, events=kept)
 
 
-# ---------------------------------------------------------------- XES input
+def complete_word(trace) -> tuple[str, ...]:
+    """The complete-lifecycle activities of a trace, in order; a plain
+    sequence of activities is taken as the word itself."""
+    if isinstance(trace, Trace):
+        return tuple(e.activity for e in trace.events if e.is_complete())
+    return tuple(trace)
 
-def _strip_ns(tag: str) -> str:
+
+# ---------------------------------------------------------------- XML
+
+def strip_ns(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
+
+def read_xml(source, kind: str):
+    """Root element of XML given as bytes, a binary file object or a file
+    path; malformed input raises LogFormatError naming kind, the line and
+    the column."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    try:
+        return ET.parse(source).getroot()
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise LogFormatError(f"malformed {kind} at line {line}, column {col}: {exc.msg}") from exc
+
+
+def xml_bytes(root) -> bytes:
+    """Indented UTF-8 serialization with an XML declaration."""
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    buf = io.BytesIO()
+    tree.write(buf, encoding="utf-8", xml_declaration=True)
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------- XES input
 
 def _parse_timestamp(value: str, where: str) -> datetime:
     try:
@@ -94,31 +127,16 @@ def parse_xes(source) -> EventLog:
     Raises LogFormatError for malformed XML (with line and column) and for
     events that lack a concept:name (naming the offending trace).
     """
-    if isinstance(source, bytes):
-        stream = io.BytesIO(source)
-    elif isinstance(source, str):
-        stream = open(source, "rb")
-    else:
-        stream = source
-    try:
-        try:
-            root = ET.parse(stream).getroot()
-        except ET.ParseError as exc:
-            line, col = exc.position
-            raise LogFormatError(f"malformed XML at line {line}, column {col}: {exc.msg}") from exc
-    finally:
-        if isinstance(source, str):
-            stream.close()
-
-    if _strip_ns(root.tag) != "log":
-        raise LogFormatError(f"expected <log> root element, found <{_strip_ns(root.tag)}>")
+    root = read_xml(source, "XML")
+    if strip_ns(root.tag) != "log":
+        raise LogFormatError(f"expected <log> root element, found <{strip_ns(root.tag)}>")
 
     log = EventLog()
-    for ti, trace_el in enumerate(el for el in root if _strip_ns(el.tag) == "trace"):
+    for ti, trace_el in enumerate(el for el in root if strip_ns(el.tag) == "trace"):
         case_id = str(ti)
         events: list[Event] = []
         for child in trace_el:
-            tag = _strip_ns(child.tag)
+            tag = strip_ns(child.tag)
             if tag == "string" and child.get("key") == "concept:name":
                 case_id = child.get("value", case_id)
             elif tag == "event":
@@ -172,11 +190,7 @@ def write_xes(log: EventLog) -> bytes:
                               {"key": "time:timestamp", "value": event.timestamp.isoformat()})
             for key in sorted(event.attributes):
                 ET.SubElement(ev_el, "string", {"key": key, "value": event.attributes[key]})
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    buf = io.BytesIO()
-    tree.write(buf, encoding="utf-8", xml_declaration=True)
-    return buf.getvalue()
+    return xml_bytes(root)
 
 
 def save_xes(log: EventLog, path: str) -> None:

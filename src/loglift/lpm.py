@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import LogliftError
-from .eventlog import EventLog, Trace
+from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay)
 
@@ -363,12 +363,6 @@ class Segmentation:
         return sum(e - s for s, e in self.gammas)
 
 
-def _complete_activities(trace) -> list[str]:
-    if isinstance(trace, Trace):
-        return [e.activity for e in trace.events if e.is_complete()]
-    return list(trace)
-
-
 def _accepted_ends(projected: list[str], rp: Replay) -> list[list[int]]:
     """ends[i] = all j with projected[i:j] accepted, ascending; empty runs excluded."""
     m = len(projected)
@@ -482,7 +476,7 @@ def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMI
     """
     rp = replay if replay is not None else Replay(lpm.net, state_limit=state_limit)
     acts = lpm.activities
-    projected = [a for a in _complete_activities(trace) if a in acts]
+    projected = [a for a in complete_word(trace) if a in acts]
     m = len(projected)
     ends = _accepted_ends(projected, rp)
     best = _coverage_dp(ends, m)
@@ -509,7 +503,7 @@ def support(log: EventLog, lpm: LocalProcessModel,
     One forward pass per distinct projection over the pattern's subset
     automaton; segment() is the exact reference it is tested against.
     """
-    projections = _projections((_complete_activities(t) for t in log), lpm.activities)
+    projections = _projections((complete_word(t) for t in log), lpm.activities)
     return _support(projections, Replay(lpm.net, state_limit=state_limit))
 
 
@@ -531,9 +525,9 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     if not isinstance(log, EventLog) or len(log) == 0:
         raise LogliftError("LPM discovery needs a non-empty event log")
     freqs: Counter[str] = Counter()
-    traces_acts: list[list[str]] = []
+    traces_acts: list[tuple[str, ...]] = []
     for trace in log:
-        acts = _complete_activities(trace)
+        acts = complete_word(trace)
         traces_acts.append(acts)
         freqs.update(acts)
     eligible = sorted(a for a, n in freqs.items() if n >= min_support)

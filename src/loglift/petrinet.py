@@ -7,14 +7,15 @@ equals the word. All searches that could diverge on unbounded nets are
 guarded by a state limit and raise SearchLimitError when they hit it, so
 "could not decide" is never reported as "no".
 
-Nets are treated as immutable after construction.
+Nets are treated as immutable after construction; splice builds one by
+copying sub-nets into a host net still under construction.
 """
 
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import LogliftError, SearchLimitError
+from .errors import LogliftError, PatternError, SearchLimitError
 
 DEFAULT_STATE_LIMIT = 100_000
 
@@ -66,6 +67,31 @@ class AcceptingPetriNet:
 
     def alphabet(self) -> set[str]:
         return set(self.net.labels.values())
+
+
+def splice(host: PetriNet, sub: AcceptingPetriNet, prefix: str, name: str,
+           inputs, outputs, t_in: str, t_out: str) -> None:
+    """Copy the sub-net into host with every id prefixed, entered by the
+    silent transition t_in (from the input places to the sub-net's
+    initially marked places) and left by the silent transition t_out (from
+    its finally marked places to the output places). name is the sub-net's
+    pattern name in errors."""
+    for which, marking in (("initial", sub.initial), ("final", sub.final)):
+        if any(c > 1 for c in marking.values()):
+            raise PatternError(f"pattern {name} has a multi-token {which} marking; "
+                               "splicing needs one token per place")
+        if not any(marking.values()):
+            raise PatternError(f"pattern {name} needs non-empty initial and final markings")
+    net = sub.net
+    host.places.update(prefix + p for p in net.places)
+    host.transitions.update(prefix + t for t in net.transitions)
+    host.transitions.update((t_in, t_out))
+    host.labels.update((prefix + t, label) for t, label in net.labels.items())
+    host.arcs.update((prefix + a, prefix + b) for a, b in net.arcs)
+    host.arcs.update((p, t_in) for p in inputs)
+    host.arcs.update((t_in, prefix + p) for p, c in sub.initial.items() if c)
+    host.arcs.update((prefix + p, t_out) for p, c in sub.final.items() if c)
+    host.arcs.update((t_out, p) for p in outputs)
 
 
 # -------------------------------------------------------- dense replay core

@@ -111,6 +111,22 @@ def load_input(config: PipelineConfig) -> EventLog:
             raise StageError("load", str(exc)) from exc
 
 
+def _lift(log: EventLog, config: PipelineConfig, selected: list[LocalProcessModel]):
+    """Abstract the log with the selected patterns, discover a model of the
+    lifted log and score its expansion against the log: (abstraction
+    model, lifted log, tree, expanded net, report)."""
+    with _stage("abstract"):
+        model = compose(patterns_from_models(selected), config.composition)
+        abstracted = abstract_log(log, model, keep_foreign=config.keep_foreign,
+                                  state_limit=config.state_limit)
+    with _stage("discover"):
+        tree = discover_model(abstracted, noise=config.noise)
+    with _stage("evaluate"):
+        expanded = expand_model(tree_to_net(tree), model.patterns)
+        report = evaluate(log, expanded, state_limit=config.state_limit)
+    return model, abstracted, tree, expanded, report
+
+
 def run_stages(log: EventLog, config: PipelineConfig,
                ranking: LpmRanking | None = None) -> PipelineResult:
     """All pipeline computation; artifacts are the caller's business."""
@@ -123,16 +139,10 @@ def run_stages(log: EventLog, config: PipelineConfig,
                                   order=config.order)
         if not selected:
             raise LogliftError("no patterns survived filtering")
-    with _stage("abstract"):
-        model = compose(patterns_from_models(selected), config.composition)
-        abstracted = abstract_log(log, model, keep_foreign=config.keep_foreign,
-                                  state_limit=config.state_limit)
+    model, abstracted, tree, expanded, report = _lift(log, config, selected)
     with _stage("discover"):
-        tree = discover_model(abstracted, noise=config.noise)
         baseline_tree = discover_model(log, noise=config.noise)
     with _stage("evaluate"):
-        expanded = expand_model(tree_to_net(tree), model.patterns)
-        report = evaluate(log, expanded, state_limit=config.state_limit)
         baseline = evaluate(log, tree_to_net(baseline_tree),
                             state_limit=config.state_limit)
     return PipelineResult(ranking=ranking, selected=selected, model=model,
@@ -243,9 +253,7 @@ def run_sweep(log: EventLog, config: PipelineConfig,
                     key = (tuple(m.key for m in selected), composition)
                     hit = cache.get(key)
                     if hit is None:
-                        result = run_stages(log, cell, ranking=ranking)
-                        hit = (result.report, None)
-                        cache[key] = hit
+                        hit = cache[key] = (_lift(log, cell, selected)[-1], None)
                 except LogliftError as exc:
                     hit = (None, str(exc))
                     row["status"] = "error"

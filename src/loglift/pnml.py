@@ -9,10 +9,10 @@ transition annotations (pattern membership tags on abstraction models) are
 written as <toolspecific> blocks under the transition.
 """
 
-import io
 from xml.etree import ElementTree as ET
 
 from .errors import LogFormatError
+from .eventlog import read_xml, strip_ns, xml_bytes
 from .petrinet import AcceptingPetriNet, Marking, PetriNet
 
 TOOL = "loglift"
@@ -46,11 +46,7 @@ def write_pnml(apn: AcceptingPetriNet, transition_tags: dict[str, str] | None = 
     for p in sorted(apn.final):
         if apn.final[p]:
             ET.SubElement(final_el, "place", {"idref": p, "tokens": str(apn.final[p])})
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    buf = io.BytesIO()
-    tree.write(buf, encoding="utf-8", xml_declaration=True)
-    return buf.getvalue()
+    return xml_bytes(root)
 
 
 def save_pnml(apn: AcceptingPetriNet, path: str,
@@ -59,34 +55,15 @@ def save_pnml(apn: AcceptingPetriNet, path: str,
         fh.write(write_pnml(apn, transition_tags))
 
 
-def _strip_ns(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _walk(element, wanted: str):
     for child in element.iter():
-        if _strip_ns(child.tag) == wanted:
+        if strip_ns(child.tag) == wanted:
             yield child
 
 
 def parse_pnml(source) -> AcceptingPetriNet:
     """Parse PNML bytes, a binary file object or a file path."""
-    if isinstance(source, bytes):
-        stream = io.BytesIO(source)
-    elif isinstance(source, str):
-        stream = open(source, "rb")
-    else:
-        stream = source
-    try:
-        try:
-            root = ET.parse(stream).getroot()
-        except ET.ParseError as exc:
-            line, col = exc.position
-            raise LogFormatError(f"malformed PNML at line {line}, column {col}: {exc.msg}") from exc
-    finally:
-        if isinstance(source, str):
-            stream.close()
-
+    root = read_xml(source, "PNML")
     places: set[str] = set()
     transitions: set[str] = set()
     arcs: set[tuple[str, str]] = set()
@@ -111,7 +88,7 @@ def parse_pnml(source) -> AcceptingPetriNet:
             raise LogFormatError("transition without id")
         transitions.add(tid)
         for name_el in t_el:
-            if _strip_ns(name_el.tag) != "name":
+            if strip_ns(name_el.tag) != "name":
                 continue
             for text_el in _walk(name_el, "text"):
                 if text_el.text:

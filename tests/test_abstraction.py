@@ -6,7 +6,8 @@ from loglift import (INTERLEAVING, PARALLEL, abstract_log, abstract_trace,
                      align, compose, derive_lifecycle, language_upto,
                      make_lpm, make_pattern, parse_tree, patterns_from_models,
                      tree_to_net)
-from conftest import GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, mk_log, mk_trace
+from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, all_words, mk_log,
+                      mk_trace)
 
 
 def pattern(text, name="H"):
@@ -204,3 +205,20 @@ def test_abstract_log_shares_replay(n1_model):
     assert seqs[1] == ["H"]
     assert seqs[2] == []
     assert [t.case_id for t in out] == [t.case_id for t in log]
+
+
+def test_abstraction_is_invariant_under_pattern_renaming():
+    # "A_" extends "A" + "_", so a name-prefix match would give pattern A
+    # the places of pattern A_ as well and change which events are gaps
+    for composition in (INTERLEAVING, PARALLEL):
+        lifted = {}
+        for name in ("Z", "A_"):
+            model = compose([pattern("seq(a,b)", "A"), pattern("seq(c,d)", name)],
+                            composition)
+            lifted[name] = [[("Q" if e.activity == name else e.activity)
+                             for e in abstract_trace(mk_trace(w), model).events]
+                            for w in all_words("abcd", 4)]
+        assert lifted["Z"] == lifted["A_"], composition
+    model = compose([pattern("seq(a,b)", "A"), pattern("seq(c,d)", "A_")], INTERLEAVING)
+    out = abstract_trace(mk_trace("cadb"), model)
+    assert [e.activity for e in out.events if e.is_complete()] == ["a", "A_", "b"]

@@ -1,4 +1,5 @@
-"""Public names, and the names the benchmark under bench/ relies on.
+"""Public names, the names the benchmark under bench/ relies on, and the
+package's own imports (standard library only).
 
 The benchmark drives loglift through module attributes and is not part of
 this suite, so a deleted or renamed name would otherwise break it
@@ -8,6 +9,7 @@ unnoticed.
 import ast
 import importlib
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import loglift
 from loglift.pipeline import PipelineConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "loglift"
 
 # local names the bench scripts bind to loglift modules
 BENCH_MODULES = {"ll": "loglift", "loglift": "loglift",
@@ -51,3 +54,18 @@ def test_bench_called_names_exist():
     spec = json.loads((BENCH / "workloads.json").read_text())
     config_keys = set().union(*(w["config"] for w in spec["workloads"].values()))
     assert config_keys <= {f.name for f in fields(PipelineConfig)}
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -65,17 +65,22 @@ def test_expand_model_multiple_patterns():
 
 
 def test_expand_model_rejects_multi_token_pattern_marking():
+    # also empty markings; compose splices patterns the same way
     from loglift import AcceptingPetriNet, PetriNet
     from loglift.abstraction import ActivityPattern
     net = PetriNet(places={"p", "q"}, transitions={"t"},
                    arcs={("p", "t"), ("t", "q")}, labels={"t": "a"})
-    bad = ActivityPattern(name="H",
-                          net=AcceptingPetriNet(net=net, initial={"p": 2},
-                                                final={"q": 2}),
-                          lifecycle={"t": "complete"})
     high = tree_to_net(parse_tree("H"))
-    with pytest.raises(PatternError):
-        expand_model(high, [bad])
+    for initial, final in (({"p": 2}, {"q": 2}), ({"p": 1}, {"q": 2}),
+                           ({}, {"q": 1}), ({"p": 1}, {"q": 0})):
+        bad = ActivityPattern(name="H",
+                              net=AcceptingPetriNet(net=net, initial=initial,
+                                                    final=final),
+                              lifecycle={"t": "complete"})
+        with pytest.raises(PatternError):
+            expand_model(high, [bad])
+        with pytest.raises(PatternError):
+            compose([bad], INTERLEAVING)
 
 
 # -------------------------------------------------------------- evaluation

@@ -65,10 +65,49 @@ def test_xes_round_trip_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_xes_golden_bytes():
+    log = EventLog(traces=[Trace(case_id="c1", events=[
+        Event(activity="a", lifecycle="start"),
+        Event(activity="a", lifecycle="complete",
+              timestamp=datetime.datetime(2024, 1, 2, 3, 4, 5,
+                                          tzinfo=datetime.timezone.utc),
+              attributes={"org:resource": "r1"}),
+        Event(activity="b & <c>")])])
+    assert write_xes(log) == b"""<?xml version='1.0' encoding='utf-8'?>
+<log xes.version="1.0" xes.features="">
+  <trace>
+    <string key="concept:name" value="c1" />
+    <event>
+      <string key="concept:name" value="a" />
+      <string key="lifecycle:transition" value="start" />
+    </event>
+    <event>
+      <string key="concept:name" value="a" />
+      <string key="lifecycle:transition" value="complete" />
+      <date key="time:timestamp" value="2024-01-02T03:04:05+00:00" />
+      <string key="org:resource" value="r1" />
+    </event>
+    <event>
+      <string key="concept:name" value="b &amp; &lt;c&gt;" />
+    </event>
+  </trace>
+</log>"""
+
+
+def test_parse_xes_accepts_bytes_path_and_binary_file(tmp_path):
+    data = write_xes(mk_log(["abc", "de"]))
+    path = tmp_path / "log.xes"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        logs = [parse_xes(data), parse_xes(str(path)), parse_xes(fh)]
+    for log in logs:
+        assert [t.activities() for t in log] == [["a", "b", "c"], ["d", "e"]]
+
+
 def test_xes_rejects_garbage(tmp_path):
     path = tmp_path / "bad.xes"
-    path.write_text("<log><trace>")
-    with pytest.raises(LogFormatError):
+    path.write_text("<log>\n<trace>")
+    with pytest.raises(LogFormatError, match="malformed XML at line 2, column 7"):
         parse_xes(str(path))
 
 

@@ -133,9 +133,59 @@ def test_pnml_transition_tags_round_trip(tmp_path):
     assert back.net.labels == {"t1": "a", "t2": "b"}
 
 
+def test_write_pnml_golden_bytes():
+    assert write_pnml(hand_net(), transition_tags={"t1": "pattern=H;role=start"}) == \
+        b"""<?xml version='1.0' encoding='utf-8'?>
+<pnml>
+  <net id="net1" type="http://www.pnml.org/version-2009/grammar/ptnet">
+    <page id="page1">
+      <place id="p1">
+        <initialMarking>
+          <text>1</text>
+        </initialMarking>
+      </place>
+      <place id="p2" />
+      <place id="p3" />
+      <transition id="t1">
+        <name>
+          <text>a</text>
+        </name>
+        <toolspecific tool="loglift" version="0.1">
+          <text>pattern=H;role=start</text>
+        </toolspecific>
+      </transition>
+      <transition id="t2">
+        <name>
+          <text>b</text>
+        </name>
+      </transition>
+      <arc id="arc0" source="p1" target="t1" />
+      <arc id="arc1" source="p2" target="t2" />
+      <arc id="arc2" source="t1" target="p2" />
+      <arc id="arc3" source="t2" target="p3" />
+    </page>
+    <toolspecific tool="loglift" version="0.1">
+      <finalMarking>
+        <place idref="p3" tokens="1" />
+      </finalMarking>
+    </toolspecific>
+  </net>
+</pnml>"""
+
+
+def test_parse_pnml_accepts_bytes_path_and_binary_file(tmp_path):
+    data = write_pnml(hand_net())
+    path = tmp_path / "net.pnml"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        nets = [parse_pnml(data), parse_pnml(str(path)), parse_pnml(fh)]
+    for back in nets:
+        assert back == hand_net()
+
+
 def test_pnml_rejects_malformed_input():
     from loglift import LogFormatError
-    with pytest.raises(LogFormatError):
-        parse_pnml(b"<pnml><net>")
+    with pytest.raises(LogFormatError, match="malformed PNML at line 2, column 7"):
+        parse_pnml(b"<pnml>\n  <net>")
     with pytest.raises(LogFormatError):
         parse_pnml(b"<pnml><net><page><arc id='a1' source='x'/></page></net></pnml>")

@@ -1,5 +1,6 @@
 """Pipeline stages, artifacts, the sweep grid, the generator, and the CLI."""
 
+import hashlib
 import os
 import random
 from dataclasses import fields
@@ -7,9 +8,9 @@ from dataclasses import fields
 import pytest
 
 from loglift import (ConfigError, LpmRanking, PipelineConfig, StageError,
-                     generate_log, load_log, parse_pnml, parse_tree,
-                     run_pipeline, run_stages, run_sweep, sample_word,
-                     save_xes, sweep_csv, tree_to_net, accepts)
+                     filter_diverse, generate_log, load_log, parse_pnml,
+                     parse_tree, run_pipeline, run_stages, run_sweep,
+                     sample_word, save_xes, sweep_csv, tree_to_net, accepts)
 from loglift.cli import _read_config, main
 from loglift.pipeline import config_text
 from conftest import mk_log
@@ -158,6 +159,33 @@ def test_run_pipeline_is_byte_deterministic(tmp_path):
         assert a == b, fname
 
 
+# sha256 of artifacts of one small seeded run: changes to how nets are
+# built or XML is written must leave these bytes as they are
+GOLDEN_DIGESTS = {
+    ("interleaving", "abstraction_model.pnml"):
+        "abe446b1987e198350d552f3006a0bc808fb3f387d064103a0ca98a85da2eb09",
+    ("parallel", "abstraction_model.pnml"):
+        "3d9c3f17451bf2457349c4bb3a5fbb62b389d950d7d3f22dfb1ef13be72f859f",
+    ("interleaving", "expanded.pnml"):
+        "e78cb28628cc4cea3811ef7cba71e53279f89af54448bab442d733912336c5f8",
+    ("interleaving", "abstracted.xes"):
+        "5296979445a592f3c7523402391351b80afdc68a4ee507b0b7f22e96f9fc6073",
+}
+
+
+def test_run_pipeline_artifacts_golden(tmp_path):
+    log_path = tmp_path / "in.xes"
+    save_xes(planted_log(traces=12, noise_rate=0.2), str(log_path))
+    for composition in ("interleaving", "parallel"):
+        out_dir = tmp_path / composition
+        run_pipeline(small_config(input=str(log_path), out_dir=str(out_dir),
+                                  composition=composition))
+        for (comp, fname), digest in GOLDEN_DIGESTS.items():
+            if comp == composition:
+                data = (out_dir / fname).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (comp, fname)
+
+
 def test_run_pipeline_leaves_no_partial_output_on_failure(tmp_path):
     log_path = tmp_path / "in.xes"
     save_xes(planted_log(traces=6), str(log_path))
@@ -223,6 +251,27 @@ def test_run_sweep_bad_cell_becomes_error_row():
         assert rows[1]["error"] != ""
         # the shared baseline is still reported for the failed cell
         assert rows[1]["baseline_f_score"] == rows[0]["baseline_f_score"] != ""
+
+
+def test_run_sweep_scores_baseline_once_and_each_selection_once(monkeypatch):
+    from loglift import pipeline
+    log = planted_log(traces=10, noise_rate=0.2)
+    config = small_config()
+    t_divs, ks, compositions = [0.2, 0.5, 0.9], [1, 2, 3], ["interleaving", "parallel"]
+    ranking = pipeline.discover_lpms(log, **config.lpm_search())
+    selections = {tuple(m.key for m in filter_diverse(ranking, t, k=k, order=config.order))
+                  for t in t_divs for k in ks}
+    distinct = len(selections) * len(compositions)
+    calls = {"evaluate": 0, "discover_model": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(pipeline, name, counted)
+    rows = run_sweep(log, config, t_divs=t_divs, ks=ks, compositions=compositions)
+    assert all(r["status"] == "ok" for r in rows)
+    assert 1 < distinct < len(rows)
+    assert calls == {"evaluate": distinct + 1, "discover_model": distinct + 1}
 
 
 # -------------------------------------------------------------- generator
@@ -357,6 +406,20 @@ def test_cli_sweep_small_grid(tmp_path, capsys, cli_log):
     header, *rows = out.read_text().strip().splitlines()
     status = header.split(",").index("status")
     assert [row.split(",")[status] for row in rows] == ["ok", "ok"]
+    # the CSV is written either way; exit 2 only when no row is ok
+    for compositions, want_code, want_status in (
+            ("interleaving,bogus", 0, ["ok", "error"]),
+            ("bogus", 2, ["error"])):
+        capsys.readouterr()
+        code = main(["sweep", "--input", cli_log, "--out", str(out),
+                     "--t-divs", "0.5", "--ks", "1",
+                     "--compositions", compositions, "--max-activities", "3",
+                     "--beam-width", "10", "--max-results", "6"])
+        assert code == want_code, compositions
+        header, *rows = out.read_text().strip().splitlines()
+        assert [row.split(",")[status] for row in rows] == want_status
+        err = capsys.readouterr().err
+        assert ("unknown composition 'bogus'" in err) == (want_code == 2)
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
