@@ -155,6 +155,8 @@ def compose(patterns: list[ActivityPattern], composition: str = INTERLEAVING) ->
     for pattern in patterns:
         name = pattern.name
         hub = "hub" if composition == INTERLEAVING else f"hub__{name}"
+        if composition == PARALLEL and hub in host.places | host.transitions:
+            raise PatternError(f"id {hub!r} of pattern {name} already exists in the net")
         host.places.add(hub)
         host.arcs.update({("begin", hub), (hub, "end")})
         prefix, t_open, t_close = _prefix(name), f"open__{name}", f"close__{name}"

@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .abstraction import MODEL, SYNC, TAU, align_words
-from .errors import PatternError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay, min_visible_run_length, splice)
@@ -56,11 +55,8 @@ def expand_model(high_net: AcceptingPetriNet,
                     labels={t: lab for t, lab in high.labels.items() if t not in replaced})
     for t in sorted(replaced):
         pattern = by_name[high.labels[t]]
-        t_in, t_out = t + "__in", t + "__out"
-        if t_in in high.transitions or t_out in high.transitions:
-            raise PatternError(f"transition id {t_in!r}/{t_out!r} already taken")
         splice(host, pattern.net, t + "__", pattern.name,
-               high.preset(t), high.postset(t), t_in, t_out)
+               high.preset(t), high.postset(t), t + "__in", t + "__out")
 
     apn = AcceptingPetriNet(net=host, initial=dict(high_net.initial),
                             final=dict(high_net.final))

@@ -7,10 +7,13 @@ activities and split into accepted runs (gamma segments) and leftover
 noise (lambda segments), maximizing the covered events.
 
 Support is computed by one forward pass per distinct projection over the
-pattern's subset automaton (memoised per pattern), and discovery shares
-each activity set's projections between all candidates over that set.
-segment() computes the split itself with the quadratic scan; it is the
-exact reference the forward pass is tested against.
+pattern's subset automaton (memoised per pattern). Discovery scores a
+candidate on its shape: the tree with each activity renamed to its rank in
+the sorted activity set, against the trace projections renamed the same
+way. Candidates of one shape share one automaton, and candidates over one
+activity set share one projection Counter. segment() computes the split
+itself with the quadratic scan; it is the exact reference the forward
+pass is tested against.
 
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
@@ -456,13 +459,13 @@ class _ForwardCoverage:
         return hit
 
 
-def _projections(traces_acts, acts: frozenset[str]) -> Counter:
-    """Distinct projections of the traces onto acts, with multiplicities."""
-    return Counter(tuple(a for a in t if a in acts) for t in traces_acts)
+def _projections(traces_acts, names: dict[str, str]) -> Counter:
+    """Distinct projections of the traces onto the activities named in
+    names, each activity renamed to its name there, with multiplicities."""
+    return Counter(tuple(names[a] for a in t if a in names) for t in traces_acts)
 
 
-def _support(projections: Counter, rp: Replay) -> int:
-    coverage = _ForwardCoverage(rp)
+def _support(projections: Counter, coverage: _ForwardCoverage) -> int:
     return sum(coverage(p) * n for p, n in projections.items())
 
 
@@ -503,8 +506,9 @@ def support(log: EventLog, lpm: LocalProcessModel,
     One forward pass per distinct projection over the pattern's subset
     automaton; segment() is the exact reference it is tested against.
     """
-    projections = _projections((complete_word(t) for t in log), lpm.activities)
-    return _support(projections, Replay(lpm.net, state_limit=state_limit))
+    projections = _projections((complete_word(t) for t in log),
+                               {a: a for a in lpm.activities})
+    return _support(projections, _ForwardCoverage(Replay(lpm.net, state_limit=state_limit)))
 
 
 # -------------------------------------------------------------- discovery
@@ -521,6 +525,17 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     activity y not yet in the tree. All evaluated candidates compete for
     the final ranking; ties by support break toward fewer activities, then
     fewer nodes, then the canonical serialization.
+
+    A candidate is scored on its shape: the tree with every activity
+    renamed to its rank in the sorted activity set ("0", "1", ...), over
+    the projections renamed the same way. Renaming is a bijection on both
+    net and words, so the support is the candidate's own. Candidates of one
+    shape share one Replay and its memoised forward pass, so state_limit
+    bounds the markings of each shape's shared Replay, which explores the
+    words of all those candidates, not the markings of a Replay per
+    candidate. Round k scores only k-activity trees, so no tree, shape or
+    activity set recurs in a later round: the dedup set and both caches
+    live for one round, and only the running top max_results is carried.
     """
     if not isinstance(log, EventLog) or len(log) == 0:
         raise LogliftError("LPM discovery needs a non-empty event log")
@@ -534,57 +549,62 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     if not eligible:
         raise LogliftError(f"no activity reaches min_support={min_support}")
 
-    # Candidates sharing an activity set (the operator variants of one
-    # expansion, and repeats across beam entries) share one projection.
-    by_acts: dict[frozenset[str], Counter] = {}
-
-    def evaluate(tree: ProcessTree) -> int:
-        acts = tree.activities()
-        projections = by_acts.get(acts)
-        if projections is None:
-            projections = by_acts[acts] = _projections(traces_acts, acts)
-        return _support(projections, Replay(tree_to_net(tree), state_limit=state_limit))
-
-    pool: dict[str, tuple[ProcessTree, int]] = {}
-    current: list[tuple[ProcessTree, int]] = []
-    for a in eligible:
-        t = leaf(a)
-        s = freqs[a]
-        pool[t.sort_key()] = (t, s)
-        current.append((t, s))
-
     def order_key(entry: tuple[ProcessTree, int]):
         tree, s = entry
         return (-s, len(tree.activities()), tree.node_count(), tree.sort_key())
 
+    # Trees are immutable, so every candidate shares one leaf per activity.
+    leaves = {a: leaf(a) for a in eligible}
+    current = sorted(((leaves[a], freqs[a]) for a in eligible), key=order_key)
+    ranked = current[:max_results]
     for _size in range(2, max_activities + 1):
-        current.sort(key=order_key)
-        beam = current[:beam_width]
+        seen: set[str] = set()
+        # Per activity set: the rank names and the renamed projections.
+        by_acts: dict[frozenset[str], tuple[dict[str, str], Counter]] = {}
+        shapes: dict[str, _ForwardCoverage] = {}
         nxt: list[tuple[ProcessTree, int]] = []
-        for tree, _s in beam:
+        for tree, _s in current[:beam_width]:
             have = tree.activities()
             for x in sorted(have):
                 for y in eligible:
                     if y in have:
                         continue
-                    for variant in (seq(leaf(x), leaf(y)), seq(leaf(y), leaf(x)),
-                                    xor(leaf(x), leaf(y)), and_(leaf(x), leaf(y)),
-                                    loop(leaf(x), leaf(y)), loop(leaf(y), leaf(x))):
+                    alphabet = have | {y}
+                    got = by_acts.get(alphabet)
+                    if got is None:
+                        names = {a: str(i) for i, a in enumerate(sorted(alphabet))}
+                        got = by_acts[alphabet] = (names, _projections(traces_acts, names))
+                    names, projections = got
+                    lx, ly = leaves[x], leaves[y]
+                    for variant in (seq(lx, ly), seq(ly, lx), xor(lx, ly),
+                                    and_(lx, ly), loop(lx, ly), loop(ly, lx)):
                         candidate = _replace_leaf(tree, x, variant)
                         key = candidate.sort_key()
-                        if key in pool:
+                        if key in seen:
                             continue
-                        s = evaluate(candidate)
-                        pool[key] = (candidate, s)
-                        nxt.append((candidate, s))
+                        seen.add(key)
+                        shape = _relabel(candidate, names)
+                        shape_key = shape.to_text()
+                        coverage = shapes.get(shape_key)
+                        if coverage is None:
+                            coverage = shapes[shape_key] = _ForwardCoverage(
+                                Replay(tree_to_net(shape), state_limit=state_limit))
+                        nxt.append((candidate, _support(projections, coverage)))
         if not nxt:
             break
-        current = nxt
+        current = sorted(nxt, key=order_key)
+        ranked = sorted(ranked + current[:max_results], key=order_key)[:max_results]
 
-    ranked = sorted(pool.values(), key=order_key)[:max_results]
     models = [LocalProcessModel(net=tree_to_net(t), tree=t, support=s, rank=i + 1)
               for i, (t, s) in enumerate(ranked)]
     return LpmRanking(models=models)
+
+
+def _relabel(tree: ProcessTree, names: dict[str, str]) -> ProcessTree:
+    """The same tree, structure kept as it is, with every label renamed."""
+    if tree.op is None:
+        return tree if tree.label is None else ProcessTree(label=names[tree.label])
+    return ProcessTree(op=tree.op, children=tuple(_relabel(c, names) for c in tree.children))
 
 
 def _replace_leaf(tree: ProcessTree, label: str, replacement: ProcessTree) -> ProcessTree:

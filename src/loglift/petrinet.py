@@ -75,7 +75,8 @@ def splice(host: PetriNet, sub: AcceptingPetriNet, prefix: str, name: str,
     silent transition t_in (from the input places to the sub-net's
     initially marked places) and left by the silent transition t_out (from
     its finally marked places to the output places). name is the sub-net's
-    pattern name in errors."""
+    pattern name in errors. An id the splice would add that the host
+    already has raises PatternError instead of merging two nodes."""
     for which, marking in (("initial", sub.initial), ("final", sub.final)):
         if any(c > 1 for c in marking.values()):
             raise PatternError(f"pattern {name} has a multi-token {which} marking; "
@@ -83,6 +84,11 @@ def splice(host: PetriNet, sub: AcceptingPetriNet, prefix: str, name: str,
         if not any(marking.values()):
             raise PatternError(f"pattern {name} needs non-empty initial and final markings")
     net = sub.net
+    taken = host.places | host.transitions
+    for node in [prefix + n for n in sorted(net.places | net.transitions)] + [t_in, t_out]:
+        if node in taken:
+            raise PatternError(f"id {node!r} of pattern {name} already exists in the net")
+        taken.add(node)
     host.places.update(prefix + p for p in net.places)
     host.transitions.update(prefix + t for t in net.transitions)
     host.transitions.update((t_in, t_out))

@@ -2,10 +2,10 @@
 
 import pytest
 
-from loglift import (INTERLEAVING, PARALLEL, abstract_log, abstract_trace,
-                     align, compose, derive_lifecycle, language_upto,
-                     make_lpm, make_pattern, parse_tree, patterns_from_models,
-                     tree_to_net)
+from loglift import (INTERLEAVING, PARALLEL, PatternError, abstract_log,
+                     abstract_trace, align, compose, derive_lifecycle,
+                     language_upto, make_lpm, make_pattern, parse_tree,
+                     patterns_from_models, tree_to_net)
 from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, all_words, mk_log,
                       mk_trace)
 
@@ -60,6 +60,22 @@ def test_compose_rejects_bad_input():
         compose([pattern("a"), pattern("b")], INTERLEAVING)  # duplicate names
     with pytest.raises(ValueError):
         compose([pattern("a")], "sideways")
+
+
+def test_compose_rejects_id_collisions_between_patterns():
+    # seq(a,b) compiles to places p1..p3 and transitions t4, t5; spliced
+    # under "<name>__", pattern "hub" owns place hub__p1, which is also the
+    # parallel hub place of a pattern named p1, and pattern "open" owns
+    # transition open__t4, the interleaving entry of a pattern named t4
+    cases = ((PARALLEL, "hub", "p1", "hub__p1"),
+             (INTERLEAVING, "open", "t4", "open__t4"))
+    for composition, first, second, clash in cases:
+        for names in ((first, second), (second, first)):
+            pats = [pattern("seq(a,b)", names[0]), pattern("seq(c,d)", names[1])]
+            with pytest.raises(PatternError, match=clash):
+                compose(pats, composition)
+    model = compose([pattern("seq(a,b)", "A"), pattern("seq(c,d)", "B")], PARALLEL)
+    assert len(model.net.net.places) == 10
 
 
 def test_compose_empty_run_always_accepted():

@@ -83,6 +83,17 @@ def test_expand_model_rejects_multi_token_pattern_marking():
             compose([bad], INTERLEAVING)
 
 
+def test_expand_model_rejects_taken_ids():
+    # t__in is the id expand_model gives the entry of pattern transition t
+    from loglift import AcceptingPetriNet, PetriNet
+    high = PetriNet(places={"i", "m", "o"}, transitions={"t", "t__in"},
+                    arcs={("i", "t"), ("t", "m"), ("m", "t__in"), ("t__in", "o")},
+                    labels={"t": "P", "t__in": "b"})
+    apn = AcceptingPetriNet(net=high, initial={"i": 1}, final={"o": 1})
+    with pytest.raises(PatternError, match="t__in"):
+        expand_model(apn, [pattern("seq(a,c)", "P")])
+
+
 # -------------------------------------------------------------- evaluation
 
 def test_fitness_perfect_and_degraded():

@@ -1,15 +1,17 @@
 """Process trees, pattern nets, segmentation, LPM mining and filtering."""
 
+import hashlib
 import random
 
 import pytest
 
+import loglift.lpm
 from loglift import (LocalProcessModel, LogliftError, LpmRanking,
                      SearchLimitError, and_,
-                     discover_lpms, diversity, filter_diverse, jaccard,
-                     language_upto, leaf, load_ranking, loop, make_lpm,
-                     parse_tree, save_ranking, segment, seq, support, tau,
-                     tree_to_net, xor)
+                     discover_lpms, diversity, filter_diverse, generate_log,
+                     jaccard, language_upto, leaf, load_ranking, loop,
+                     make_lpm, parse_tree, save_ranking, segment, seq, support,
+                     tau, tree_to_net, xor)
 from loglift.lpm import check_lpm_tree
 from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, mk_log,
                       mk_trace)
@@ -162,6 +164,61 @@ def test_lpm_scoring_state_limit_raises():
         discover_lpms(log, max_activities=3, state_limit=3)
     with pytest.raises(SearchLimitError):
         support(log, make_lpm(parse_tree("and(a,b,c)")), state_limit=3)
+
+
+def _planted_log(traces, instances, seed):
+    return generate_log([parse_tree(t) for t in ("seq(a,b,c)", "and(d,e)", "loop(f,g)")],
+                        instances=instances, traces=traces, noise_rate=0.3, seed=seed)
+
+
+def test_discover_lpms_support_matches_per_net_scoring():
+    # candidates are scored on automata shared per shape; every returned
+    # support must equal the model's own net scored alone, by the forward
+    # pass and by segment's quadratic scan
+    log = _planted_log(traces=6, instances=1, seed=3)
+    ranking = discover_lpms(log, max_activities=4, beam_width=10, max_results=10**6)
+    assert {len(m.activities) for m in ranking} == {1, 2, 3, 4}
+    for model in ranking:
+        assert support(log, model) == model.support, model
+        assert sum(segment(t, model).coverage() for t in log) == model.support, model
+
+
+def _shape_text(tree, names):
+    if tree.op is None:
+        return "tau" if tree.label is None else names[tree.label]
+    return tree.op + "(" + ",".join(_shape_text(c, names) for c in tree.children) + ")"
+
+
+def test_discover_lpms_builds_one_replay_per_shape(monkeypatch):
+    built = []
+
+    class CountingReplay(loglift.lpm.Replay):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(loglift.lpm, "Replay", CountingReplay)
+    log = _planted_log(traces=10, instances=2, seed=11)
+    ranking = discover_lpms(log, max_results=10**6)
+    candidates = [m for m in ranking if len(m.activities) > 1]
+    shapes = set()
+    for m in candidates:
+        names = {a: str(i) for i, a in enumerate(sorted(m.activities))}
+        shapes.add(_shape_text(m.tree, names))
+    assert len(built) == len(shapes)
+    assert len(built) * 10 < len(candidates)
+
+
+# sha256 of index.tsv (rank, support, diversity, activities, tree) of one
+# seeded discovery with the default search parameters
+RANKING_DIGEST = "3407e30eec0e1128d6dfead077a2fd02f1efaa7f5e781ae4671538ea9b2be64a"
+
+
+def test_discover_lpms_ranking_golden(tmp_path):
+    save_ranking(discover_lpms(_planted_log(traces=10, instances=2, seed=11)),
+                 str(tmp_path))
+    data = (tmp_path / "index.tsv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == RANKING_DIGEST
 
 
 def test_discover_lpms_empty_log():
