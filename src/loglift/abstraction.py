@@ -211,13 +211,18 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
     """Minimum-cost alignment of an activity sequence against a net.
 
     Lexicographically minimizes (total cost, gap moves, visible model
-    moves); deterministic expansion order sync, tau, log, visible model.
-    gap_oracle maps a marking id to the activities whose log move counts
-    as a gap move there (none without an oracle, as for plain nets).
+    moves). A* pops states in the order (total cost + heuristic, gap
+    moves, visible model moves, deepest log position first, first pushed
+    first); successors are pushed in the order sync, tau, log, visible
+    model. Going deeper first on ties keeps a zero-cost run through a
+    concurrent net from expanding every interleaving of its silent moves
+    breadth-first. gap_oracle maps a marking id to the activities whose
+    log move counts as a gap move there (none without an oracle, as for
+    plain nets).
     """
     rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
     n = len(events)
-    alphabet = set(rp.by_label)
+    alphabet = set(rp.labels) - {None}
     # admissible heuristic: events the net cannot ever mirror must be log moves
     foreign_suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -252,7 +257,7 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
                 dist[nxt] = vec
                 parent[nxt] = (state, move)
                 counter += 1
-                prio = (vec[0] + foreign_suffix[nxt[0]], vec[1], vec[2])
+                prio = (vec[0] + foreign_suffix[nxt[0]], vec[1], vec[2], -nxt[0])
                 heapq.heappush(heap, (prio, counter, nxt))
 
         enabled = rp.enabled_ts(mid)
@@ -328,7 +333,8 @@ def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = F
     when the occurrence's starting transition fired synchronously). Log
     moves over pattern activities stay as low-level events; events of
     demoted occurrences stay too. Foreign events (outside every pattern
-    alphabet) are dropped unless keep_foreign is set.
+    alphabet) are dropped unless keep_foreign is set. A SearchLimitError
+    from the alignment names the trace's case id.
     """
     if replay is None:
         replay = Replay(model.net, state_limit=state_limit)
@@ -336,8 +342,11 @@ def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = F
         gap_oracle = _GapOracle(model, replay)
     originals = [e for e in trace.events if e.is_complete()]
     words = [e.activity for e in originals]
-    alignment = align_words(words, model.net, state_limit=state_limit,
-                            replay=replay, gap_oracle=gap_oracle)
+    try:
+        alignment = align_words(words, model.net, state_limit=state_limit,
+                                replay=replay, gap_oracle=gap_oracle)
+    except SearchLimitError as err:
+        raise SearchLimitError(f"{err} (case {trace.case_id})") from err
     alphabet = model.pattern_alphabet
 
     emitted: list[tuple[int, int, Event]] = []

@@ -6,15 +6,21 @@ low-level alphabet again and can be scored against the original log.
 
 Fitness is alignment-based: per trace 1 - cost / (|trace| + shortest
 visible run of the net), averaged over the log. Precision is escaping
-edges over the prefix automaton of the aligned model runs: at every
-visited state, visible labels the model enables but the log never takes
-there count against it.
+edges over the prefix automaton of the aligned visible model runs (the
+labels of synchronous and model moves): at every visited prefix, visible
+labels the model enables but the log never takes there count against it.
+The model's enabled labels at a prefix are those of every marking the
+prefix can reach, silent moves included (Replay's marking set for that
+prefix), not of the one marking a chosen alignment passes through, so
+precision does not depend on the order the aligner fires silent
+transitions in (the language view of Munoz-Gama & Carmona, BPM 2010).
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .abstraction import MODEL, SYNC, TAU, align_words
+from .abstraction import MODEL, SYNC, align_words
+from .errors import SearchLimitError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay, min_visible_run_length, splice)
@@ -66,20 +72,22 @@ def expand_model(high_net: AcceptingPetriNet,
 
 def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
-    """Fitness, precision, and F-score in one pass (alignments are shared)."""
+    """Fitness, precision, and F-score in one pass (alignments are shared).
+
+    A SearchLimitError from aligning a word names the first case with it.
+    """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
     rp = Replay(net, state_limit=state_limit)
-    t_index = {name: i for i, name in enumerate(rp.transitions)}
     minlen = min_visible_run_length(net, state_limit=state_limit)
 
-    # prefix automaton of aligned model runs: a state per distinct visible
-    # prefix, holding the markings seen there, the labels taken onward, and
-    # how many traces passed through
+    # prefix automaton of aligned visible model runs: a state per distinct
+    # visible prefix, holding the Replay set of markings that prefix
+    # reaches, the labels taken onward, and how many traces passed through
     children: dict[tuple[int, str], int] = {}
-    marks: list[set[int]] = [set()]
+    marks: list[int] = [rp.start_set_id]
     taken: list[set[str]] = [set()]
     weight: list[int] = [0]
 
@@ -87,44 +95,37 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
     fit_sum = 0.0
     total = 0
     for word, mult in words.items():
-        alignment = align_words(word, net, state_limit=state_limit, replay=rp)
-        cost_of[word] = alignment.cost
-        denom = len(word) + minlen
-        fit_sum += mult * (1.0 - alignment.cost / denom if denom else 1.0)
-        total += mult
+        try:
+            alignment = align_words(word, net, state_limit=state_limit, replay=rp)
+            cost_of[word] = alignment.cost
+            denom = len(word) + minlen
+            fit_sum += mult * (1.0 - alignment.cost / denom if denom else 1.0)
+            total += mult
 
-        state = 0
-        mid = rp.initial_id
-        weight[0] += mult
-        marks[0].add(mid)
-        for move in alignment.moves:
-            if move.kind == TAU:
-                mid = rp.fire_t(mid, t_index[move.transition])
-                continue
-            if move.kind not in (SYNC, MODEL):
-                continue
-            t = t_index[move.transition]
-            label = rp.labels[t]
-            taken[state].add(label)
-            nxt = children.get((state, label))
-            if nxt is None:
-                nxt = len(marks)
-                children[(state, label)] = nxt
-                marks.append(set())
-                taken.append(set())
-                weight.append(0)
-            state = nxt
-            mid = rp.fire_t(mid, t)
-            weight[state] += mult
-            marks[state].add(mid)
+            state = 0
+            weight[0] += mult
+            for move in alignment.moves:
+                if move.kind not in (SYNC, MODEL):
+                    continue
+                label = move.activity
+                taken[state].add(label)
+                nxt = children.get((state, label))
+                if nxt is None:
+                    nxt = len(marks)
+                    children[(state, label)] = nxt
+                    marks.append(rp.step(marks[state], label))
+                    taken.append(set())
+                    weight.append(0)
+                state = nxt
+                weight[state] += mult
+        except SearchLimitError as err:
+            case = next(t.case_id for t, w in zip(log, trace_words) if w == word)
+            raise SearchLimitError(f"{err} (case {case})") from err
 
     escaping = 0
     enabled_total = 0
-    for state in range(len(marks)):
-        enabled: set[str] = set()
-        for mid in marks[state]:
-            for closed in rp.closure_of(mid):
-                enabled.update(rp.enabled_visible_labels(closed))
+    for state, sid in enumerate(marks):
+        enabled = rp.enabled_labels(sid)
         escaping += weight[state] * len(enabled - taken[state])
         enabled_total += weight[state] * len(enabled)
 

@@ -21,6 +21,7 @@ nested same-operator children are flattened, so equal-language duplicates
 produced during search collapse to one canonical form.
 """
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -535,7 +536,9 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     words of all those candidates, not the markings of a Replay per
     candidate. Round k scores only k-activity trees, so no tree, shape or
     activity set recurs in a later round: the dedup set and both caches
-    live for one round, and only the running top max_results is carried.
+    live for one round, a round keeps only its best max(beam_width,
+    max_results) candidates, and only the running top max_results is
+    carried.
     """
     if not isinstance(log, EventLog) or len(log) == 0:
         raise LogliftError("LPM discovery needs a non-empty event log")
@@ -555,15 +558,14 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
 
     # Trees are immutable, so every candidate shares one leaf per activity.
     leaves = {a: leaf(a) for a in eligible}
-    current = sorted(((leaves[a], freqs[a]) for a in eligible), key=order_key)
-    ranked = current[:max_results]
-    for _size in range(2, max_activities + 1):
+
+    def grown(beam):
+        """Every new tree one activity larger than a beam tree, scored."""
         seen: set[str] = set()
         # Per activity set: the rank names and the renamed projections.
         by_acts: dict[frozenset[str], tuple[dict[str, str], Counter]] = {}
         shapes: dict[str, _ForwardCoverage] = {}
-        nxt: list[tuple[ProcessTree, int]] = []
-        for tree, _s in current[:beam_width]:
+        for tree, _s in beam:
             have = tree.activities()
             for x in sorted(have):
                 for y in eligible:
@@ -589,10 +591,17 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
                         if coverage is None:
                             coverage = shapes[shape_key] = _ForwardCoverage(
                                 Replay(tree_to_net(shape), state_limit=state_limit))
-                        nxt.append((candidate, _support(projections, coverage)))
-        if not nxt:
+                        yield candidate, _support(projections, coverage)
+
+    # order_key is a total order, so keeping only a round's first entries
+    # is exact: nothing reads past the first max(beam_width, max_results)
+    keep = max(beam_width, max_results)
+    current = sorted(((leaves[a], freqs[a]) for a in eligible), key=order_key)
+    ranked = current[:max_results]
+    for _size in range(2, max_activities + 1):
+        current = heapq.nsmallest(keep, grown(current[:beam_width]), key=order_key)
+        if not current:
             break
-        current = sorted(nxt, key=order_key)
         ranked = sorted(ranked + current[:max_results], key=order_key)[:max_results]
 
     models = [LocalProcessModel(net=tree_to_net(t), tree=t, support=s, rank=i + 1)

@@ -108,48 +108,41 @@ class Replay:
     Markings are dense count tuples interned to small integers; sets of
     markings (used when replaying a word against all its possible runs at
     once) are interned frozensets of those integers. The per-net caches
-    make repeated replays over the same net cheap.
+    (firing, enabled transitions, silent closures and set steps) make
+    repeated replays over the same net cheap.
     """
 
     def __init__(self, apn: AcceptingPetriNet, state_limit: int = DEFAULT_STATE_LIMIT):
         net = apn.net
-        self.apn = apn
         self.state_limit = state_limit
         self.places = sorted(net.places)
         self._pidx = {p: i for i, p in enumerate(self.places)}
         self.transitions = sorted(net.transitions)
-        self._tidx = {t: i for i, t in enumerate(self.transitions)}
+        tidx = {t: i for i, t in enumerate(self.transitions)}
         n = len(self.transitions)
         self.pre = [[] for _ in range(n)]
         self.post = [[] for _ in range(n)]
         for src, dst in net.arcs:
             if src in self._pidx:
-                self.pre[self._tidx[dst]].append(self._pidx[src])
+                self.pre[tidx[dst]].append(self._pidx[src])
             else:
-                self.post[self._tidx[src]].append(self._pidx[dst])
+                self.post[tidx[src]].append(self._pidx[dst])
         self.labels = [net.labels.get(t) for t in self.transitions]
-        self.tau_ts = [t for t in range(n) if self.labels[t] is None]
-        self.by_label: dict[str, list[int]] = {}
-        for t in range(n):
-            if self.labels[t] is not None:
-                self.by_label.setdefault(self.labels[t], []).append(t)
-
-        self.initial = self._dense(apn.initial)
-        self.final = self._dense(apn.final)
 
         # interning tables
         self._mark_ids: dict[tuple[int, ...], int] = {}
         self._marks: list[tuple[int, ...]] = []
+        self._fired: dict[tuple[int, int], int] = {}
         self._closure: dict[int, frozenset[int]] = {}
         self._set_ids: dict[frozenset[int], int] = {}
         self._sets: list[frozenset[int]] = []
         self._set_accepting: list[bool] = []
         self._set_step: dict[tuple[int, str], int] = {}
-        self._enabled_vis: dict[int, tuple[str, ...]] = {}
+        self._set_enabled: dict[int, frozenset[str]] = {}
         self._enabled: dict[int, list[int]] = {}
 
-        self.initial_id = self.intern(self.initial)
-        self.final_id = self.intern(self.final)
+        self.initial_id = self.intern(self._dense(apn.initial))
+        self.final_id = self.intern(self._dense(apn.final))
         self.empty_set_id = self._intern_set(frozenset())
         self.start_set_id = self._intern_set(self.closure_of(self.initial_id))
 
@@ -182,12 +175,16 @@ class Replay:
         return cached
 
     def fire_t(self, mid: int, t: int) -> int:
-        m = list(self._marks[mid])
-        for p in self.pre[t]:
-            m[p] -= 1
-        for p in self.post[t]:
-            m[p] += 1
-        return self.intern(tuple(m))
+        key = (mid, t)
+        got = self._fired.get(key)
+        if got is None:
+            m = list(self._marks[mid])
+            for p in self.pre[t]:
+                m[p] -= 1
+            for p in self.post[t]:
+                m[p] += 1
+            got = self._fired[key] = self.intern(tuple(m))
+        return got
 
     def closure_of(self, mid: int) -> frozenset[int]:
         """All markings reachable from mid by silent firings (mid included)."""
@@ -196,11 +193,11 @@ class Replay:
             return cached
         seen = {mid}
         queue = deque([mid])
+        labels = self.labels
         while queue:
             cur = queue.popleft()
-            m = self._marks[cur]
-            for t in self.tau_ts:
-                if all(m[p] >= 1 for p in self.pre[t]):
+            for t in self.enabled_ts(cur):
+                if labels[t] is None:
                     nxt = self.fire_t(cur, t)
                     if nxt not in seen:
                         seen.add(nxt)
@@ -227,24 +224,23 @@ class Replay:
         if cached is not None:
             return cached
         nxt: set[int] = set()
-        ts = self.by_label.get(activity, ())
+        labels = self.labels
         for mid in self._sets[sid]:
-            m = self._marks[mid]
-            for t in ts:
-                if all(m[p] >= 1 for p in self.pre[t]):
+            for t in self.enabled_ts(mid):
+                if labels[t] == activity:
                     nxt.update(self.closure_of(self.fire_t(mid, t)))
         out = self._intern_set(frozenset(nxt))
         self._set_step[key] = out
         return out
 
-    def enabled_visible_labels(self, mid: int) -> tuple[str, ...]:
-        cached = self._enabled_vis.get(mid)
+    def enabled_labels(self, sid: int) -> frozenset[str]:
+        """Visible labels enabled in some marking of a closed marking set."""
+        cached = self._set_enabled.get(sid)
         if cached is None:
-            m = self._marks[mid]
-            labels = {self.labels[t] for t in range(len(self.transitions))
-                      if self.labels[t] is not None and all(m[p] >= 1 for p in self.pre[t])}
-            cached = tuple(sorted(labels))
-            self._enabled_vis[mid] = cached
+            labels = self.labels
+            cached = frozenset(labels[t] for mid in self._sets[sid]
+                               for t in self.enabled_ts(mid)) - {None}
+            self._set_enabled[sid] = cached
         return cached
 
 

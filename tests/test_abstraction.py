@@ -1,11 +1,17 @@
 """Lifecycle roles, composition, gap-aware alignment, trace abstraction."""
 
+import heapq
+import types
+
 import pytest
 
-from loglift import (INTERLEAVING, PARALLEL, PatternError, abstract_log,
-                     abstract_trace, align, compose, derive_lifecycle,
-                     language_upto, make_lpm, make_pattern, parse_tree,
-                     patterns_from_models, tree_to_net)
+import loglift.abstraction
+from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError,
+                     SearchLimitError, abstract_log, abstract_trace, align,
+                     compose, derive_lifecycle, language_upto, make_lpm,
+                     make_pattern, parse_tree, patterns_from_models,
+                     tree_to_net)
+from loglift.abstraction import align_words
 from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, all_words, mk_log,
                       mk_trace)
 
@@ -238,3 +244,31 @@ def test_abstraction_is_invariant_under_pattern_renaming():
     model = compose([pattern("seq(a,b)", "A"), pattern("seq(c,d)", "A_")], INTERLEAVING)
     out = abstract_trace(mk_trace("cadb"), model)
     assert [e.activity for e in out.events if e.is_complete()] == ["a", "A_", "b"]
+
+
+def test_align_goes_deep_on_zero_cost_ties(monkeypatch):
+    # six concurrent loops with silent redo: every (position, marking) pair
+    # on the way ties at cost 0; breadth-first tie order pops 10,821 states
+    pops = 0
+
+    def counting_pop(heap):
+        nonlocal pops
+        pops += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(loglift.abstraction, "heapq",
+                        types.SimpleNamespace(heappush=heapq.heappush,
+                                              heappop=counting_pop))
+    net = tree_to_net(parse_tree(
+        "and(" + ",".join(f"loop({a},tau)" for a in "abcdef") + ")"))
+    alignment = align_words(list("abcdef" * 3), net)
+    assert alignment.cost_vector == (0, 0, 0)
+    assert pops < 2000
+
+
+def test_abstract_log_search_limit_names_case():
+    model = compose([pattern("and(a,b,c)", "P")], PARALLEL)
+    log = EventLog(traces=[mk_trace("ab", case_id="short"),
+                           mk_trace("abcabcabc", case_id="long-7")])
+    with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
+        abstract_log(log, model, state_limit=20)

@@ -1,11 +1,15 @@
 """Fitness, precision, F-score, and high-level model expansion."""
 
+from collections import Counter, defaultdict
+
 import pytest
 
-from loglift import (INTERLEAVING, PatternError, compose, evaluate,
+from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, PatternError,
+                     PetriNet, SearchLimitError, compose, evaluate,
                      expand_model, f_score, language_upto, make_lpm,
                      make_pattern, parse_tree, tree_to_net)
-from conftest import mk_log
+from loglift.abstraction import MODEL, SYNC, align_words
+from conftest import mk_log, mk_trace
 
 
 def pattern(text, name):
@@ -166,3 +170,78 @@ def test_expanded_n1_language():
     expanded = expand_model(high, [pattern("seq(xor(A,loop(B,tau)),C)", "H")])
     lang = language_upto(expanded, 4)
     assert lang == {("s", "A", "C"), ("s", "B", "C"), ("s", "B", "B", "C")}
+
+
+# ------------------------------------------------- precision, set semantics
+
+# loop-free trees with silent choices, duplicate labels and concurrency,
+# each with a small log mixing fitting and non-fitting traces
+PRECISION_CASES = [
+    ("xor(seq(a,b),seq(a,c))", ["ab", "ab", "abx", "xab"]),
+    ("and(a,seq(b,c))", ["abc", "bac", "bca", "bc"]),
+    ("xor(tau,and(a,b))", ["", "ab", "ab", "a"]),
+    ("and(xor(tau,c),b)", ["b", "b", "bx"]),
+    ("seq(xor(a,tau),and(b,xor(c,tau)))", ["ab", "bc", "acb", "b", "cab"]),
+    # "a" has optimal alignments through either "a" transition
+    ("xor(seq(a,b),seq(a,xor(c,d)))", ["a", "a", "x"]),
+]
+
+
+def brute_force_precision(words, apn, max_len=6):
+    """Escaping edges over the prefix automaton of the aligned visible
+    model words; at prefix w the model enables every next label of an
+    accepted word that extends w."""
+    lang = language_upto(apn, max_len)
+    weight: Counter = Counter()
+    taken = defaultdict(set)
+    for word in words:
+        moves = align_words(list(word), apn).moves
+        run = tuple(m.activity for m in moves if m.kind in (SYNC, MODEL))
+        for i in range(len(run) + 1):
+            weight[run[:i]] += 1
+            if i < len(run):
+                taken[run[:i]].add(run[i])
+    escaping = enabled_total = 0
+    for w, n in weight.items():
+        enabled = {u[len(w)] for u in lang if len(u) > len(w) and u[:len(w)] == w}
+        escaping += n * len(enabled - taken[w])
+        enabled_total += n * len(enabled)
+    return 1.0 - escaping / enabled_total if enabled_total else 1.0
+
+
+def renamed_transitions(apn):
+    """The same net with transition ids renamed so their sorted order is
+    reversed, which reverses the order A* expands tied moves in."""
+    net = apn.net
+    order = sorted(net.transitions)
+    new = {t: f"t{len(order) - i:03d}" for i, t in enumerate(order)}
+    return AcceptingPetriNet(
+        net=PetriNet(places=set(net.places), transitions=set(new.values()),
+                     arcs={(new.get(a, a), new.get(b, b)) for a, b in net.arcs},
+                     labels={new[t]: lab for t, lab in net.labels.items()}),
+        initial=dict(apn.initial), final=dict(apn.final))
+
+
+@pytest.mark.parametrize("text,words", PRECISION_CASES)
+def test_precision_matches_language_oracle(text, words):
+    apn = tree_to_net(parse_tree(text))
+    assert evaluate(mk_log(words), apn).precision == pytest.approx(
+        brute_force_precision(words, apn))
+
+
+@pytest.mark.parametrize("text,words", PRECISION_CASES)
+def test_precision_is_invariant_under_search_order(text, words):
+    apn = tree_to_net(parse_tree(text))
+    want = evaluate(mk_log(words), apn)
+    assert evaluate(mk_log(words[::-1]), apn).precision == want.precision
+    other = evaluate(mk_log(words), renamed_transitions(apn))
+    assert (other.precision, other.trace_costs) == (want.precision, want.trace_costs)
+
+
+def test_evaluate_search_limit_names_first_case_of_word():
+    apn = tree_to_net(parse_tree("and(a,b,c)"))
+    log = EventLog(traces=[mk_trace("abc", case_id="fits"),
+                           mk_trace("aabbcc", case_id="long-7"),
+                           mk_trace("aabbcc", case_id="long-8")])
+    with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
+        evaluate(log, apn, state_limit=20)
