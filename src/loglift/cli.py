@@ -98,8 +98,10 @@ class _Options:
 
 
 def _pipeline_config(opts: _Options) -> PipelineConfig:
-    return PipelineConfig(**{f.name: getattr(opts, f.name)
-                             for f in fields(PipelineConfig)})
+    config = PipelineConfig(**{f.name: getattr(opts, f.name)
+                               for f in fields(PipelineConfig)})
+    config.validate()
+    return config
 
 
 def _selected_patterns(opts: _Options):

@@ -11,9 +11,12 @@ pattern's subset automaton (memoised per pattern). Discovery scores a
 candidate on its shape: the tree with each activity renamed to its rank in
 the sorted activity set, against the trace projections renamed the same
 way. Candidates of one shape share one automaton, and candidates over one
-activity set share one projection Counter. segment() computes the split
-itself with the quadratic scan; it is the exact reference the forward
-pass is tested against.
+activity set share one projection Counter. A candidate covers at most the
+events its activity set has in the log, so a beam round scores activity
+sets by that bound, highest first, and stops at the first set whose bound
+is below the support of every candidate it would keep so far. segment()
+computes the split itself with the quadratic scan; it is the exact
+reference the forward pass is tested against.
 
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
@@ -523,9 +526,17 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     min_support times. Each round keeps the beam_width best trees of the
     current size and grows each by replacing one activity leaf x with
     op(x, y) or op(y, x) for op in {seq, xor, and, loop} and every eligible
-    activity y not yet in the tree. All evaluated candidates compete for
-    the final ranking; ties by support break toward fewer activities, then
-    fewer nodes, then the canonical serialization.
+    activity y not yet in the tree. Ties by support break toward fewer
+    activities, then fewer nodes, then the canonical serialization.
+
+    A round keeps only its best keep = max(beam_width, max_results)
+    candidates, and only the running top max_results is carried. A
+    candidate over activity set A covers at most freq(A) events, the number
+    of events of A in the log, so a round scores its activity sets in
+    descending freq(A) order (ties by the sorted activities) and stops at
+    the first set whose freq(A) is below the keep-th best support scored so
+    far. Every skipped candidate ranks strictly below keep scored ones, so
+    the ranking is the one scoring every candidate gives.
 
     A candidate is scored on its shape: the tree with every activity
     renamed to its rank in the sorted activity set ("0", "1", ...), over
@@ -534,12 +545,15 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     shape share one Replay and its memoised forward pass, so state_limit
     bounds the markings of each shape's shared Replay, which explores the
     words of all those candidates, not the markings of a Replay per
-    candidate. Round k scores only k-activity trees, so no tree, shape or
-    activity set recurs in a later round: the dedup set and both caches
-    live for one round, a round keeps only its best max(beam_width,
-    max_results) candidates, and only the running top max_results is
-    carried.
+    candidate. A skipped activity set builds no projections and no Replay,
+    so the limit can be hit only by candidates that could still rank.
+    Round k scores only k-activity trees, so no tree, shape or activity set
+    recurs in a later round: the shape cache lives for one round.
     """
+    for name, value in (("max_activities", max_activities),
+                        ("beam_width", beam_width), ("max_results", max_results)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not isinstance(log, EventLog) or len(log) == 0:
         raise LogliftError("LPM discovery needs a non-empty event log")
     freqs: Counter[str] = Counter()
@@ -558,48 +572,58 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
 
     # Trees are immutable, so every candidate shares one leaf per activity.
     leaves = {a: leaf(a) for a in eligible}
+    # order_key is a total order, so keeping only a round's first entries
+    # is exact: nothing reads past the first max(beam_width, max_results)
+    keep = max(beam_width, max_results)
 
-    def grown(beam):
-        """Every new tree one activity larger than a beam tree, scored."""
-        seen: set[str] = set()
-        # Per activity set: the rank names and the renamed projections.
-        by_acts: dict[frozenset[str], tuple[dict[str, str], Counter]] = {}
-        shapes: dict[str, _ForwardCoverage] = {}
+    def bounded(beam):
+        """The new trees one activity larger than a beam tree, scored, up
+        to the first activity set that cannot reach the round's top keep."""
+        # Growth steps per activity set; a step's candidates have exactly
+        # the activities have | {y}, so no tree is grown from two sets.
+        steps: dict[frozenset[str], list[tuple[ProcessTree, str, str]]] = {}
         for tree, _s in beam:
             have = tree.activities()
             for x in sorted(have):
                 for y in eligible:
-                    if y in have:
+                    if y not in have:
+                        steps.setdefault(have | {y}, []).append((tree, x, y))
+        by_bound = sorted((-sum(freqs[a] for a in acts), sorted(acts), acts)
+                          for acts in steps)
+        shapes: dict[str, _ForwardCoverage] = {}
+        top: list[int] = []  # min-heap of the best keep supports so far
+        for neg_bound, ordered, acts in by_bound:
+            if len(top) == keep and -neg_bound < top[0]:
+                return
+            names = {a: str(i) for i, a in enumerate(ordered)}
+            projections = _projections(traces_acts, names)
+            seen: set[str] = set()
+            for tree, x, y in steps[acts]:
+                lx, ly = leaves[x], leaves[y]
+                for variant in (seq(lx, ly), seq(ly, lx), xor(lx, ly),
+                                and_(lx, ly), loop(lx, ly), loop(ly, lx)):
+                    candidate = _replace_leaf(tree, x, variant)
+                    key = candidate.sort_key()
+                    if key in seen:
                         continue
-                    alphabet = have | {y}
-                    got = by_acts.get(alphabet)
-                    if got is None:
-                        names = {a: str(i) for i, a in enumerate(sorted(alphabet))}
-                        got = by_acts[alphabet] = (names, _projections(traces_acts, names))
-                    names, projections = got
-                    lx, ly = leaves[x], leaves[y]
-                    for variant in (seq(lx, ly), seq(ly, lx), xor(lx, ly),
-                                    and_(lx, ly), loop(lx, ly), loop(ly, lx)):
-                        candidate = _replace_leaf(tree, x, variant)
-                        key = candidate.sort_key()
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        shape = _relabel(candidate, names)
-                        shape_key = shape.to_text()
-                        coverage = shapes.get(shape_key)
-                        if coverage is None:
-                            coverage = shapes[shape_key] = _ForwardCoverage(
-                                Replay(tree_to_net(shape), state_limit=state_limit))
-                        yield candidate, _support(projections, coverage)
+                    seen.add(key)
+                    shape = _relabel(candidate, names)
+                    shape_key = shape.to_text()
+                    coverage = shapes.get(shape_key)
+                    if coverage is None:
+                        coverage = shapes[shape_key] = _ForwardCoverage(
+                            Replay(tree_to_net(shape), state_limit=state_limit))
+                    s = _support(projections, coverage)
+                    if len(top) < keep:
+                        heapq.heappush(top, s)
+                    elif s > top[0]:
+                        heapq.heapreplace(top, s)
+                    yield candidate, s
 
-    # order_key is a total order, so keeping only a round's first entries
-    # is exact: nothing reads past the first max(beam_width, max_results)
-    keep = max(beam_width, max_results)
     current = sorted(((leaves[a], freqs[a]) for a in eligible), key=order_key)
     ranked = current[:max_results]
     for _size in range(2, max_activities + 1):
-        current = heapq.nsmallest(keep, grown(current[:beam_width]), key=order_key)
+        current = heapq.nsmallest(keep, bounded(current[:beam_width]), key=order_key)
         if not current:
             break
         ranked = sorted(ranked + current[:max_results], key=order_key)[:max_results]

@@ -73,6 +73,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown composition {self.composition!r}")
         if self.order not in ("topk_then_filter", "filter_then_topk"):
             raise ConfigError(f"unknown order {self.order!r}")
+        for name in ("max_activities", "beam_width", "max_results", "state_limit"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -221,6 +221,51 @@ def test_discover_lpms_ranking_golden(tmp_path):
     assert hashlib.sha256(data).hexdigest() == RANKING_DIGEST
 
 
+def test_discover_lpms_rejects_search_parameters_below_one():
+    log = mk_log(["abc"])
+    for name in ("max_activities", "beam_width", "max_results"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=name):
+                discover_lpms(log, **{name: value})
+
+
+def _ranked(ranking):
+    return [(m.tree, m.support, m.rank) for m in ranking]
+
+
+@pytest.mark.parametrize("composition", ["interleaving", "parallel"])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_discover_lpms_bound_keeps_unpruned_ranking(seed, composition):
+    # with max_results=10**6 every round keeps all its candidates, so no
+    # activity set is skipped; a run that skips by the support bound must
+    # return the first max_results entries of that run, both at the default
+    # max_results=20 and at max_results=beam_width, where every kept
+    # candidate reaches the ranking
+    log = generate_log([parse_tree(t) for t in ("seq(a,b,c)", "and(d,e)", "loop(f,g)")],
+                       instances=2, traces=10, composition=composition,
+                       noise_rate=0.3, seed=seed)
+    full = _ranked(discover_lpms(log, max_results=10**6))
+    assert _ranked(discover_lpms(log)) == full[:20]
+    assert _ranked(discover_lpms(log, max_results=50)) == full[:50]
+
+
+def test_discover_lpms_bound_skips_candidates(monkeypatch):
+    calls = []
+    scored = loglift.lpm._support
+
+    def counting(projections, coverage):
+        calls.append(1)
+        return scored(projections, coverage)
+
+    monkeypatch.setattr(loglift.lpm, "_support", counting)
+    log = _planted_log(traces=10, instances=2, seed=11)
+    discover_lpms(log)
+    bounded = len(calls)
+    calls.clear()
+    discover_lpms(log, max_results=10**6)
+    assert bounded * 2 < len(calls)
+
+
 def test_discover_lpms_empty_log():
     with pytest.raises(LogliftError, match="non-empty"):
         discover_lpms(mk_log([]), max_activities=3)

@@ -72,6 +72,10 @@ def test_config_validation():
         PipelineConfig(composition="bogus").validate()
     with pytest.raises(ConfigError):
         PipelineConfig(order="bogus").validate()
+    for name in ("max_activities", "beam_width", "max_results", "state_limit"):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=name):
+                PipelineConfig(**{name: value}).validate()
 
 
 # ----------------------------------------------------------------- stages
@@ -458,6 +462,20 @@ def test_cli_stage_failures_exit_2(tmp_path, capsys, cli_log):
                  "--max-activities", "3", "--beam-width", "6",
                  "--max-results", "4"]) == 2
     assert "[discover-lpms]" in capsys.readouterr().err
+
+
+def test_cli_discover_lpms_rejects_bad_search_parameters(tmp_path, capsys, cli_log):
+    # configuration mistakes exit 1; they are neither run nor reported as
+    # a stage failure ("could not decide")
+    for flag, value in (("--max-results", "-1"), ("--max-results", "0"),
+                        ("--beam-width", "-3"), ("--max-activities", "0"),
+                        ("--state-limit", "0")):
+        out_dir = tmp_path / f"lpms{flag}{value}"
+        assert main(["discover-lpms", "--input", cli_log, "--out-dir",
+                     str(out_dir), flag, value]) == 1, (flag, value)
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in err
+        assert not out_dir.exists()
 
 
 def test_cli_csv_input(tmp_path, capsys):
