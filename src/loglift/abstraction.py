@@ -219,25 +219,34 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
     breadth-first. gap_oracle maps a marking id to the activities whose
     log move counts as a gap move there (none without an oracle, as for
     plain nets).
+
+    A state (log position, marking) is the int marking * (n + 1) +
+    position; its moves come from the replay's cached successors of the
+    marking. Each reached state records only its parent state and the
+    transition taken (-1 for a log move); move objects are built along the
+    returned path alone.
     """
     rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    successors = rp.successors
     n = len(events)
+    width = n + 1
     alphabet = set(rp.labels) - {None}
     # admissible heuristic: events the net cannot ever mirror must be log moves
-    foreign_suffix = [0] * (n + 1)
+    foreign_suffix = [0] * width
     for i in range(n - 1, -1, -1):
         foreign_suffix[i] = foreign_suffix[i + 1] + (0 if events[i] in alphabet else 1)
 
-    start = (0, rp.initial_id)
-    goal = (n, rp.final_id)
-    dist: dict[tuple[int, int], tuple[int, int, int]] = {start: (0, 0, 0)}
-    parent: dict[tuple[int, int], tuple[tuple[int, int], AlignmentMove]] = {}
+    start = rp.initial_id * width
+    goal = rp.final_id * width + n
+    dist: dict[int, tuple[int, int, int]] = {start: (0, 0, 0)}
+    parent: dict[int, tuple[int, int]] = {}
     counter = 0
-    heap = [((foreign_suffix[0], 0, 0), 0, start)]
-    settled: set[tuple[int, int]] = set()
+    heap = [((foreign_suffix[0], 0, 0, 0), 0, start)]
+    settled: set[int] = set()
 
     while heap:
-        _, _, state = heapq.heappop(heap)
+        _, _, state = heappop(heap)
         if state in settled:
             continue
         settled.add(state)
@@ -245,54 +254,75 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
             break
         if len(settled) > state_limit:
             raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
-        pos, mid = state
-        c, gp, mv = dist[state]
-
-        def push(nxt, vec, move):
-            nonlocal counter
-            if nxt in settled:
-                return
-            old = dist.get(nxt)
-            if old is None or vec < old:
-                dist[nxt] = vec
-                parent[nxt] = (state, move)
-                counter += 1
-                prio = (vec[0] + foreign_suffix[nxt[0]], vec[1], vec[2], -nxt[0])
-                heapq.heappush(heap, (prio, counter, nxt))
-
-        enabled = rp.enabled_ts(mid)
+        mid, pos = divmod(state, width)
+        vec = dist[state]
+        c, gp, mv = vec
+        silent, visible, by_label = successors(mid)
         if pos < n:
-            event = events[pos]
-            for t in enabled:
-                if rp.labels[t] == event:
-                    push((pos + 1, rp.fire_t(mid, t)),
-                         (c, gp, mv),
-                         AlignmentMove(SYNC, log_index=pos,
-                                       transition=rp.transitions[t], activity=event))
-        for t in enabled:
-            if rp.labels[t] is None:
-                push((pos, rp.fire_t(mid, t)),
-                     (c, gp, mv),
-                     AlignmentMove(TAU, transition=rp.transitions[t]))
+            # sync moves
+            nxt_pos = pos + 1
+            prio = (c + foreign_suffix[nxt_pos], gp, mv, -nxt_pos)
+            for t, m in by_label.get(events[pos], ()):
+                nxt = m * width + nxt_pos
+                if nxt not in settled:
+                    old = dist.get(nxt)
+                    if old is None or vec < old:
+                        dist[nxt] = vec
+                        parent[nxt] = (state, t)
+                        counter += 1
+                        heappush(heap, (prio, counter, nxt))
+        prio = (c + foreign_suffix[pos], gp, mv, -pos)
+        for t, m in silent:
+            nxt = m * width + pos
+            if nxt not in settled:
+                old = dist.get(nxt)
+                if old is None or vec < old:
+                    dist[nxt] = vec
+                    parent[nxt] = (state, t)
+                    counter += 1
+                    heappush(heap, (prio, counter, nxt))
         if pos < n:
-            gap = 1 if gap_oracle is not None and events[pos] in gap_oracle(mid) else 0
-            push((pos + 1, mid),
-                 (c + 1, gp + gap, mv),
-                 AlignmentMove(LOG, log_index=pos, activity=events[pos]))
-        for t in enabled:
-            if rp.labels[t] is not None:
-                push((pos, rp.fire_t(mid, t)),
-                     (c + 1, gp, mv + 1),
-                     AlignmentMove(MODEL, transition=rp.transitions[t],
-                                   activity=rp.labels[t]))
+            # log move
+            nxt = state + 1
+            if nxt not in settled:
+                gap = 1 if gap_oracle is not None and events[pos] in gap_oracle(mid) else 0
+                new = (c + 1, gp + gap, mv)
+                old = dist.get(nxt)
+                if old is None or new < old:
+                    dist[nxt] = new
+                    parent[nxt] = (state, -1)
+                    counter += 1
+                    heappush(heap, ((c + 1 + foreign_suffix[pos + 1], gp + gap, mv,
+                                     -pos - 1), counter, nxt))
+        new = (c + 1, gp, mv + 1)
+        prio = (c + 1 + foreign_suffix[pos], gp, mv + 1, -pos)
+        for t, m in visible:
+            nxt = m * width + pos
+            if nxt not in settled:
+                old = dist.get(nxt)
+                if old is None or new < old:
+                    dist[nxt] = new
+                    parent[nxt] = (state, t)
+                    counter += 1
+                    heappush(heap, (prio, counter, nxt))
 
-    if goal not in dist or goal not in settled:
+    if goal not in settled:
         raise SearchLimitError("alignment search exhausted without reaching the final marking")
     moves: list[AlignmentMove] = []
     state = goal
     while state != start:
-        prev, move = parent[state]
-        moves.append(move)
+        prev, t = parent[state]
+        pos = prev % width
+        if t < 0:
+            moves.append(AlignmentMove(LOG, log_index=pos, activity=events[pos]))
+        elif rp.labels[t] is None:
+            moves.append(AlignmentMove(TAU, transition=rp.transitions[t]))
+        elif state % width > pos:
+            moves.append(AlignmentMove(SYNC, log_index=pos, transition=rp.transitions[t],
+                                       activity=events[pos]))
+        else:
+            moves.append(AlignmentMove(MODEL, transition=rp.transitions[t],
+                                       activity=rp.labels[t]))
         state = prev
     moves.reverse()
     vec = dist[goal]

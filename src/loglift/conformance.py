@@ -74,14 +74,17 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
     """Fitness, precision, and F-score in one pass (alignments are shared).
 
-    A SearchLimitError from aligning a word names the first case with it.
+    One Replay of the net serves the shortest-run search, every alignment
+    and the precision marking sets, so state_limit bounds the markings of
+    that one shared Replay (as well as the states of each alignment). A
+    SearchLimitError from aligning a word names the first case with it.
     """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
     rp = Replay(net, state_limit=state_limit)
-    minlen = min_visible_run_length(net, state_limit=state_limit)
+    minlen = min_visible_run_length(net, replay=rp)
 
     # prefix automaton of aligned visible model runs: a state per distinct
     # visible prefix, holding the Replay set of markings that prefix

@@ -6,7 +6,8 @@ class LogliftError(Exception):
 
 
 class LogFormatError(LogliftError):
-    """An input log (XES or CSV) could not be parsed."""
+    """An input file could not be read or parsed: a log (XES or CSV), a
+    model (PNML) or a saved LPM ranking (index.tsv)."""
 
 
 class ConfigError(LogliftError):

@@ -28,7 +28,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import LogliftError
+from .errors import LogFormatError, LogliftError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay)
@@ -723,6 +723,8 @@ def save_ranking(ranking: LpmRanking, dirpath: str) -> None:
 
 
 def load_ranking(dirpath: str) -> LpmRanking:
+    """Read a ranking written by save_ranking; a malformed index line or
+    model file raises LogFormatError naming the file."""
     import os
 
     from .pnml import parse_pnml
@@ -737,14 +739,16 @@ def load_ranking(dirpath: str) -> LpmRanking:
             continue
         parts = row.split("\t")
         if len(parts) != 6:
-            raise LogliftError(f"bad index line in {index_path}: {row!r}")
+            raise LogFormatError(f"bad index line in {index_path}: {row!r}")
         rank_s, support_s, _div, _acts, tree_text, fname = parts
-        if tree_text != "-":
-            tree = parse_tree(tree_text)
+        try:
+            rank, support = int(rank_s), int(support_s)
+            tree = parse_tree(tree_text) if tree_text != "-" else None
+        except ValueError as exc:
+            raise LogFormatError(f"bad index line in {index_path}: {row!r}: {exc}") from exc
+        if tree is not None:
             net = tree_to_net(tree)
         else:
-            tree = None
             net = parse_pnml(os.path.join(dirpath, fname))
-        models.append(LocalProcessModel(net=net, tree=tree,
-                                        support=int(support_s), rank=int(rank_s)))
+        models.append(LocalProcessModel(net=net, tree=tree, support=support, rank=rank))
     return LpmRanking(models=models)

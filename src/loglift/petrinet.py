@@ -107,9 +107,21 @@ class Replay:
 
     Markings are dense count tuples interned to small integers; sets of
     markings (used when replaying a word against all its possible runs at
-    once) are interned frozensets of those integers. The per-net caches
-    (firing, enabled transitions, silent closures and set steps) make
-    repeated replays over the same net cheap.
+    once) are interned frozensets of those integers. Each place's consuming
+    transitions are indexed once, so finding the enabled transitions of a
+    marking looks only at the consumers of its marked places (and at
+    transitions with an empty preset). The per-net caches make repeated
+    replays over the same net cheap:
+
+    - firing: (marking, transition) -> next marking
+    - enabled transitions per marking, ascending
+    - successors per marking (for the aligner): the (transition, next
+      marking) pairs of its enabled transitions, split into silent and
+      visible, the visible ones also grouped by label, all in transition
+      order; an entry fires every enabled transition of its marking
+    - silent closures per marking, and set steps and enabled labels per
+      closed marking set (for LPM scoring and precision; these fire only
+      silent transitions and the ones the stepped label names)
     """
 
     def __init__(self, apn: AcceptingPetriNet, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -128,6 +140,11 @@ class Replay:
             else:
                 self.post[tidx[src]].append(self._pidx[dst])
         self.labels = [net.labels.get(t) for t in self.transitions]
+        self._consumers: list[list[int]] = [[] for _ in self.places]
+        for t, pre in enumerate(self.pre):
+            for p in pre:
+                self._consumers[p].append(t)
+        self._unguarded = [t for t, pre in enumerate(self.pre) if not pre]
 
         # interning tables
         self._mark_ids: dict[tuple[int, ...], int] = {}
@@ -140,6 +157,8 @@ class Replay:
         self._set_step: dict[tuple[int, str], int] = {}
         self._set_enabled: dict[int, frozenset[str]] = {}
         self._enabled: dict[int, list[int]] = {}
+        self._succ: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]],
+                                    dict[str, list[tuple[int, int]]]]] = {}
 
         self.initial_id = self.intern(self._dense(apn.initial))
         self.final_id = self.intern(self._dense(apn.final))
@@ -169,8 +188,12 @@ class Replay:
         cached = self._enabled.get(mid)
         if cached is None:
             m = self._marks[mid]
-            cached = [t for t in range(len(self.transitions))
-                      if all(m[p] >= 1 for p in self.pre[t])]
+            pre = self.pre
+            candidates = set(self._unguarded)
+            for p, c in enumerate(m):
+                if c >= 1:
+                    candidates.update(self._consumers[p])
+            cached = sorted(t for t in candidates if all(m[p] >= 1 for p in pre[t]))
             self._enabled[mid] = cached
         return cached
 
@@ -185,6 +208,27 @@ class Replay:
                 m[p] += 1
             got = self._fired[key] = self.intern(tuple(m))
         return got
+
+    def successors(self, mid: int):
+        """(silent, visible, visible by label) lists of (transition, next
+        marking) pairs over the enabled transitions of mid, in transition
+        order."""
+        entry = self._succ.get(mid)
+        if entry is None:
+            silent: list[tuple[int, int]] = []
+            visible: list[tuple[int, int]] = []
+            by_label: dict[str, list[tuple[int, int]]] = {}
+            labels = self.labels
+            for t in self.enabled_ts(mid):
+                pair = (t, self.fire_t(mid, t))
+                label = labels[t]
+                if label is None:
+                    silent.append(pair)
+                else:
+                    visible.append(pair)
+                    by_label.setdefault(label, []).append(pair)
+            entry = self._succ[mid] = (silent, visible, by_label)
+        return entry
 
     def closure_of(self, mid: int) -> frozenset[int]:
         """All markings reachable from mid by silent firings (mid included)."""
@@ -297,9 +341,14 @@ def language_upto(apn: AcceptingPetriNet, max_visible_len: int,
 
 
 def min_visible_run_length(apn: AcceptingPetriNet,
-                           state_limit: int = DEFAULT_STATE_LIMIT) -> int:
-    """Length of the shortest accepted word (silent firings are free)."""
-    rp = Replay(apn, state_limit=state_limit)
+                           state_limit: int = DEFAULT_STATE_LIMIT,
+                           replay: Replay | None = None) -> int:
+    """Length of the shortest accepted word (silent firings are free).
+
+    Given a replay of the net, the search runs on it and shares its caches
+    and its state limit.
+    """
+    rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
     dist = {rp.initial_id: 0}
     heap = [(0, rp.initial_id)]
     while heap:

@@ -9,6 +9,7 @@ transition annotations (pattern membership tags on abstraction models) are
 written as <toolspecific> blocks under the transition.
 """
 
+import os
 from xml.etree import ElementTree as ET
 
 from .errors import LogFormatError
@@ -62,7 +63,29 @@ def _walk(element, wanted: str):
 
 
 def parse_pnml(source) -> AcceptingPetriNet:
-    """Parse PNML bytes, a binary file object or a file path."""
+    """Parse PNML bytes, a binary file object or a file path.
+
+    Input that does not describe an accepting net (malformed XML, a token
+    count that is not an integer, an arc that does not join a place and a
+    transition, ...) raises LogFormatError, naming the file when given a
+    path.
+    """
+    try:
+        return _parse_pnml(source)
+    except (OSError, LogFormatError) as exc:
+        if isinstance(source, (str, os.PathLike)):
+            raise LogFormatError(f"{os.fspath(source)}: {exc}") from exc
+        raise
+
+
+def _tokens(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise LogFormatError(f"bad token count {text!r} {where}") from None
+
+
+def _parse_pnml(source) -> AcceptingPetriNet:
     root = read_xml(source, "PNML")
     places: set[str] = set()
     transitions: set[str] = set()
@@ -80,7 +103,7 @@ def parse_pnml(source) -> AcceptingPetriNet:
         places.add(pid)
         for mark_el in _walk(p_el, "initialMarking"):
             for text_el in _walk(mark_el, "text"):
-                initial[pid] = int(text_el.text or "0")
+                initial[pid] = _tokens(text_el.text or "0", f"in the initial marking of {pid!r}")
 
     for t_el in _walk(root, "transition"):
         tid = t_el.get("id")
@@ -107,10 +130,14 @@ def parse_pnml(source) -> AcceptingPetriNet:
             for ref_el in _walk(fin_el, "place"):
                 pid = ref_el.get("idref")
                 if pid is not None:
-                    final[pid] = int(ref_el.get("tokens", "1"))
+                    final[pid] = _tokens(ref_el.get("tokens", "1"),
+                                         f"in the final marking of {pid!r}")
 
     apn = AcceptingPetriNet(net=PetriNet(places=places, transitions=transitions,
                                          arcs=arcs, labels=labels),
                             initial=initial, final=final)
-    apn.validate()
+    try:
+        apn.validate()
+    except ValueError as exc:
+        raise LogFormatError(str(exc)) from exc
     return apn

@@ -114,3 +114,24 @@ def coverage_oracle(projected, language):
                     b = v
         best[p] = b
     return best[0]
+
+
+PLANTED = ("seq(a,b,c)", "and(d,e)", "loop(f,g)")
+
+
+def planted_alignment_cases(composition, seed=5, traces=10):
+    """A seeded noisy log with the planted patterns and the three nets a
+    pipeline run aligns it against: the composed abstraction model, the
+    expanded model of the lifted log and the mined baseline."""
+    from loglift import (abstract_log, compose, discover_model, expand_model,
+                         generate_log, patterns_from_models, tree_to_net)
+
+    trees = [parse_tree(t) for t in PLANTED]
+    log = generate_log(trees, instances=2, traces=traces, composition=composition,
+                       noise_rate=0.3, seed=seed)
+    model = compose(patterns_from_models([make_lpm(t) for t in trees]), composition)
+    lifted = abstract_log(log, model)
+    expanded = expand_model(tree_to_net(discover_model(lifted, noise=0.2)),
+                            model.patterns)
+    baseline = tree_to_net(discover_model(log, noise=0.2))
+    return log, {"abstraction": model, "expanded": expanded, "baseline": baseline}

@@ -1,15 +1,16 @@
 """Fitness, precision, F-score, and high-level model expansion."""
 
+import hashlib
 from collections import Counter, defaultdict
 
 import pytest
 
 from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, PatternError,
-                     PetriNet, SearchLimitError, compose, evaluate,
+                     PetriNet, SearchLimitError, align, compose, evaluate,
                      expand_model, f_score, language_upto, make_lpm,
                      make_pattern, parse_tree, tree_to_net)
 from loglift.abstraction import MODEL, SYNC, align_words
-from conftest import mk_log, mk_trace
+from conftest import mk_log, mk_trace, planted_alignment_cases
 
 
 def pattern(text, name):
@@ -245,3 +246,34 @@ def test_evaluate_search_limit_names_first_case_of_word():
                            mk_trace("aabbcc", case_id="long-8")])
     with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
         evaluate(log, apn, state_limit=20)
+
+
+# sha256 of every (cost vector, moves) of the alignments of one seeded noisy
+# log per composition against the three nets a run aligns it with: a faster
+# aligner must return the same optimal alignment among ties, not just one
+# of equal cost
+ALIGNMENT_DIGESTS = {
+    ("interleaving", "abstraction"):
+        "dbf4c02b6122256259232fd14159c396250c33674c17d52c510c96be18cb33be",
+    ("interleaving", "expanded"):
+        "e15451029c6373e672f4582014477feca941df9bd5eeda88bfc35acd4c489f4e",
+    ("interleaving", "baseline"):
+        "0d1b88173eb37515474decf9ecd55448e018cca912b140cee50531f0d88e6b49",
+    ("parallel", "abstraction"):
+        "efc953787c5b0ecd9165ab83da5ca8f85a6fdcd64b8b9b1fe28bfcb1faa0f103",
+    ("parallel", "expanded"):
+        "bd0d166727634f0bd84fc0211c4212ed2839ce0b412b6023222068a4f5970862",
+    ("parallel", "baseline"):
+        "96af5e183f642b3b62a8cad51df44827b68225e91c97a78755d1718f0a0a4cb9",
+}
+
+
+@pytest.mark.parametrize("composition", ["interleaving", "parallel"])
+def test_alignment_moves_golden(composition):
+    log, nets = planted_alignment_cases(composition)
+    for name, net in nets.items():
+        text = repr([(a.cost_vector, [(m.kind, m.log_index, m.transition, m.activity)
+                                      for m in a.moves])
+                     for a in (align(t, net) for t in log)])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == ALIGNMENT_DIGESTS[(composition, name)], name

@@ -3,9 +3,11 @@
 import pytest
 
 from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
-                     accepts, language_upto, make_lpm, min_visible_run_length,
-                     parse_pnml, parse_tree, save_pnml, tree_to_net, write_pnml)
-from conftest import N1_TEXT
+                     abstract_trace, accepts, align_words, language_upto,
+                     make_lpm, min_visible_run_length, parse_pnml, parse_tree,
+                     save_pnml, tree_to_net, write_pnml)
+from loglift.eventlog import complete_word
+from conftest import N1_TEXT, planted_alignment_cases
 
 
 def hand_net():
@@ -25,6 +27,65 @@ def test_enabled_and_fire():
     assert m1 == rp.intern(tuple(int(p == "p2") for p in rp.places))
     assert rp.enabled_ts(m1) == [t2]
     assert rp.fire_t(m1, t2) == rp.final_id
+
+
+def check_replay_caches(rp):
+    """enabled_ts and successors of every marking the replay has interned
+    against a brute-force scan over all transitions."""
+    for mid in range(len(rp._marks)):
+        m = rp._marks[mid]
+        enabled = [t for t in range(len(rp.transitions))
+                   if all(m[p] >= 1 for p in rp.pre[t])]
+        assert rp.enabled_ts(mid) == enabled
+        pairs = [(t, rp.fire_t(mid, t)) for t in enabled]
+        for t, nxt in pairs:
+            dense = list(m)
+            for p in rp.pre[t]:
+                dense[p] -= 1
+            for p in rp.post[t]:
+                dense[p] += 1
+            assert rp._marks[nxt] == tuple(dense)
+        visible = [(t, n) for t, n in pairs if rp.labels[t] is not None]
+        by_label = {}
+        for t, n in visible:
+            by_label.setdefault(rp.labels[t], []).append((t, n))
+        silent = [(t, n) for t, n in pairs if rp.labels[t] is None]
+        assert rp.successors(mid) == (silent, visible, by_label)
+
+
+@pytest.mark.parametrize("composition", ["interleaving", "parallel"])
+def test_replay_caches_match_brute_force_on_aligned_markings(composition):
+    log, nets = planted_alignment_cases(composition)
+    for name, net in nets.items():
+        if name == "abstraction":
+            rp = Replay(net.net)
+            for trace in log:
+                abstract_trace(trace, net, replay=rp)
+        else:
+            rp = Replay(net)
+            for trace in log:
+                align_words(complete_word(trace), net, replay=rp)
+        assert len(rp._marks) > 1, name
+        check_replay_caches(rp)
+
+
+def test_replay_caches_match_brute_force_on_hand_nets():
+    # gen has an empty preset (always enabled); t reads p through a self-loop
+    unguarded = PetriNet(places={"p", "q"}, transitions={"gen", "eat"},
+                         arcs={("gen", "p"), ("p", "eat"), ("eat", "q")},
+                         labels={"gen": "a", "eat": "b"})
+    self_loop = PetriNet(places={"p", "q"}, transitions={"t", "u", "s"},
+                         arcs={("p", "t"), ("t", "p"), ("p", "u"), ("u", "q"),
+                               ("p", "s"), ("s", "p")},
+                         labels={"t": "a", "u": "b"})
+    for net, initial in ((unguarded, {}), (self_loop, {"p": 1})):
+        apn = AcceptingPetriNet(net=net, initial=initial, final={"q": 1})
+        rp = Replay(apn)
+        for word in (["a", "b"], ["a", "a", "b"], ["b"], ["c", "a"]):
+            align_words(word, apn, replay=rp)
+        check_replay_caches(rp)
+    rp = Replay(AcceptingPetriNet(net=unguarded, initial={}, final={"q": 1}))
+    assert rp.enabled_ts(rp.initial_id) == [rp.transitions.index("gen")]
 
 
 def test_validate_rejects_bad_nets():
@@ -183,9 +244,27 @@ def test_parse_pnml_accepts_bytes_path_and_binary_file(tmp_path):
         assert back == hand_net()
 
 
-def test_pnml_rejects_malformed_input():
+def test_pnml_rejects_malformed_input(tmp_path):
     from loglift import LogFormatError
     with pytest.raises(LogFormatError, match="malformed PNML at line 2, column 7"):
         parse_pnml(b"<pnml>\n  <net>")
     with pytest.raises(LogFormatError):
         parse_pnml(b"<pnml><net><page><arc id='a1' source='x'/></page></net></pnml>")
+    place = b"<place id='p'><initialMarking><text>%s</text></initialMarking></place>"
+    trans = b"<transition id='t'/><arc id='a1' source='p' target='t'/>"
+    with pytest.raises(LogFormatError, match="bad token count 'x' in the initial marking of 'p'"):
+        parse_pnml(b"<pnml><net><page>" + place % b"x" + trans + b"</page></net></pnml>")
+    with pytest.raises(LogFormatError, match="does not connect a place and a transition"):
+        parse_pnml(b"<pnml><net><page>" + place % b"1" + b"<place id='q'/>"
+                   b"<arc id='a1' source='p' target='q'/></page></net></pnml>")
+    with pytest.raises(LogFormatError, match="bad token count 'y' in the final marking of 'p'"):
+        parse_pnml(b"<pnml><net><page>" + place % b"1" + trans + b"</page>"
+                   b"<toolspecific tool='loglift'><finalMarking>"
+                   b"<place idref='p' tokens='y'/></finalMarking></toolspecific></net></pnml>")
+    path = tmp_path / "bad.pnml"
+    path.write_bytes(b"<pnml><net><page><place id='p'><initialMarking><text>x</text>"
+                     b"</initialMarking></place></page></net></pnml>")
+    with pytest.raises(LogFormatError, match=r"bad\.pnml: bad token count 'x'"):
+        parse_pnml(str(path))
+    with pytest.raises(LogFormatError, match=r"missing\.pnml"):
+        parse_pnml(str(tmp_path / "missing.pnml"))

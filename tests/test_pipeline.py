@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -462,6 +464,36 @@ def test_cli_stage_failures_exit_2(tmp_path, capsys, cli_log):
                  "--max-activities", "3", "--beam-width", "6",
                  "--max-results", "4"]) == 2
     assert "[discover-lpms]" in capsys.readouterr().err
+    # malformed model inputs are stage failures naming the file, not tracebacks
+    place = "<place id='p'><initialMarking><text>{}</text></initialMarking></place>"
+    for name, page in (("mark.pnml", place.format("x")),
+                       ("arc.pnml", place.format("1") + "<place id='q'/>"
+                        "<arc id='a1' source='p' target='q'/>")):
+        model = tmp_path / name
+        model.write_text(f"<pnml><net><page>{page}</page></net></pnml>")
+        assert main(["evaluate", "--input", cli_log, "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert "[evaluate]" in err and name in err, err
+    header = "rank\tsupport\tdiversity\tactivities\ttree\tfile\n"
+    for name, row in (("support", "1\tx\t1.0\ta,b\tseq(a,b)\tlpm_1.pnml\n"),
+                      ("tree", "1\t5\t1.0\ta\tseq(a\tlpm_1.pnml\n")):
+        lpm_dir = tmp_path / f"lpms_{name}"
+        lpm_dir.mkdir()
+        (lpm_dir / "index.tsv").write_text(header + row)
+        assert main(["abstract", "--input", cli_log, "--lpms", str(lpm_dir),
+                     "--out", str(tmp_path / "abs.xes")]) == 2
+        err = capsys.readouterr().err
+        assert "[filter]" in err and "index.tsv" in err, err
+
+
+def test_python_m_loglift_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "loglift", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: loglift")
+    assert "discover-lpms" in proc.stdout
 
 
 def test_cli_discover_lpms_rejects_bad_search_parameters(tmp_path, capsys, cli_log):
