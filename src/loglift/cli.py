@@ -198,7 +198,8 @@ def cmd_sweep(opts: _Options) -> int:
     compositions = _parse_list(opts.compositions, str, None)
     rows = run_sweep(log, config, t_divs=t_divs, ks=ks,
                      compositions=compositions, log_name=opts.input)
-    Path(opts.out).write_text(sweep_csv(rows))
+    with _stage("sweep"):
+        Path(opts.out).write_text(sweep_csv(rows))
     print(f"{len(rows)} rows -> {opts.out}")
     if not any(row["status"] == "ok" for row in rows):
         first = next((row["error"] for row in rows), "the grid has no cells")
@@ -217,7 +218,8 @@ def cmd_generate(opts: _Options) -> int:
     log = generate_log(trees, instances=opts.instances, traces=opts.traces,
                        composition=opts.composition,
                        noise_rate=opts.noise_rate, seed=opts.seed)
-    save_xes(log, opts.out)
+    with _stage("generate"):
+        save_xes(log, opts.out)
     events = sum(len(t.events) for t in log)
     print(f"generated {len(log)} traces / {events} events -> {opts.out}")
     return 0

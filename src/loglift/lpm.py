@@ -14,9 +14,14 @@ way. Candidates of one shape share one automaton, and candidates over one
 activity set share one projection Counter. A candidate covers at most the
 events its activity set has in the log, so a beam round scores activity
 sets by that bound, highest first, and stops at the first set whose bound
-is below the support of every candidate it would keep so far. segment()
-computes the split itself with the quadratic scan; it is the exact
-reference the forward pass is tested against.
+is below the support of every candidate it would keep so far. Once the
+round keeps a full top, its lowest support is a floor for each candidate
+too: scoring stops, and the candidate is dropped, as soon as the events
+its projections have left uncovered show that it cannot reach the floor.
+A dropped candidate stops stepping its shape's Replay, so state_limit
+can be hit only by work that could still rank. segment() computes the
+split itself with the quadratic scan; it is the exact reference the
+forward pass is tested against.
 
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
@@ -27,6 +32,7 @@ produced during search collapse to one canonical form.
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import LogFormatError, LogliftError
 from .eventlog import EventLog, complete_word
@@ -469,8 +475,26 @@ def _projections(traces_acts, names: dict[str, str]) -> Counter:
     return Counter(tuple(names[a] for a in t if a in names) for t in traces_acts)
 
 
-def _support(projections: Counter, coverage: _ForwardCoverage) -> int:
-    return sum(coverage(p) * n for p, n in projections.items())
+def _support(projections: Counter, coverage: _ForwardCoverage,
+             floor: int | None = None) -> int | None:
+    """Events covered in the projections, or None when that is below floor.
+
+    With a floor, the walk stops at the first projection after which the
+    events left uncovered exceed all the projections' events minus floor:
+    covering every event still to come cannot reach floor then. A support
+    equal to floor is returned exactly.
+    """
+    if floor is None:
+        return sum(coverage(p) * n for p, n in projections.items())
+    allowed = sum(map(mul, map(len, projections), projections.values())) - floor
+    if allowed < 0:
+        return None
+    lost = 0
+    for p, n in projections.items():
+        lost += (len(p) - coverage(p)) * n
+        if lost > allowed:
+            return None
+    return allowed + floor - lost
 
 
 def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMIT,
@@ -535,8 +559,14 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     of events of A in the log, so a round scores its activity sets in
     descending freq(A) order (ties by the sorted activities) and stops at
     the first set whose freq(A) is below the keep-th best support scored so
-    far. Every skipped candidate ranks strictly below keep scored ones, so
-    the ranking is the one scoring every candidate gives.
+    far. Once the round has scored keep candidates, a candidate of set A
+    is also abandoned as soon as lost > freq(A) - floor, where lost is the
+    events of the projections walked so far that it leaves uncovered and
+    floor is the keep-th best support so far: even covering the rest, it
+    stays strictly below floor. A candidate that ties floor is scored in
+    full, since support ties are broken as above. Every skipped or
+    abandoned candidate ranks strictly below keep scored ones, so the
+    ranking is the one scoring every candidate gives.
 
     A candidate is scored on its shape: the tree with every activity
     renamed to its rank in the sorted activity set ("0", "1", ...), over
@@ -546,7 +576,11 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     bounds the markings of each shape's shared Replay, which explores the
     words of all those candidates, not the markings of a Replay per
     candidate. A skipped activity set builds no projections and no Replay,
-    so the limit can be hit only by candidates that could still rank.
+    and an abandoned candidate stops stepping its shape's Replay, so the
+    limit can be hit only by work that could still rank. Within one
+    activity set the renaming is a bijection, so candidates are
+    deduplicated on their shape's text, and the renamed tree is built only
+    for a shape not yet cached.
     Round k scores only k-activity trees, so no tree, shape or activity set
     recurs in a later round: the shape cache lives for one round.
     """
@@ -603,20 +637,22 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
                 for variant in (seq(lx, ly), seq(ly, lx), xor(lx, ly),
                                 and_(lx, ly), loop(lx, ly), loop(ly, lx)):
                     candidate = _replace_leaf(tree, x, variant)
-                    key = candidate.sort_key()
-                    if key in seen:
+                    shape_key = _shape_text(candidate, names)
+                    if shape_key in seen:
                         continue
-                    seen.add(key)
-                    shape = _relabel(candidate, names)
-                    shape_key = shape.to_text()
+                    seen.add(shape_key)
                     coverage = shapes.get(shape_key)
                     if coverage is None:
-                        coverage = shapes[shape_key] = _ForwardCoverage(
-                            Replay(tree_to_net(shape), state_limit=state_limit))
-                    s = _support(projections, coverage)
-                    if len(top) < keep:
+                        coverage = shapes[shape_key] = _ForwardCoverage(Replay(
+                            tree_to_net(_relabel(candidate, names)),
+                            state_limit=state_limit))
+                    floor = top[0] if len(top) == keep else None
+                    s = _support(projections, coverage, floor)
+                    if s is None:
+                        continue
+                    if floor is None:
                         heapq.heappush(top, s)
-                    elif s > top[0]:
+                    elif s > floor:
                         heapq.heapreplace(top, s)
                     yield candidate, s
 
@@ -638,6 +674,14 @@ def _relabel(tree: ProcessTree, names: dict[str, str]) -> ProcessTree:
     if tree.op is None:
         return tree if tree.label is None else ProcessTree(label=names[tree.label])
     return ProcessTree(op=tree.op, children=tuple(_relabel(c, names) for c in tree.children))
+
+
+def _shape_text(tree: ProcessTree, names: dict[str, str]) -> str:
+    """_relabel(tree, names).to_text() for names that need no quoting,
+    without building the relabelled tree."""
+    if tree.op is None:
+        return "tau" if tree.label is None else names[tree.label]
+    return tree.op + "(" + ",".join(_shape_text(c, names) for c in tree.children) + ")"
 
 
 def _replace_leaf(tree: ProcessTree, label: str, replacement: ProcessTree) -> ProcessTree:

@@ -93,25 +93,27 @@ class PipelineResult:
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise domain errors with the failing stage attached."""
+    """Re-raise domain errors and failed file reads or writes with the
+    failing stage attached."""
     try:
         yield
     except StageError:
         raise
     except LogliftError as exc:
         raise StageError(name, str(exc)) from exc
+    except OSError as exc:
+        if exc.filename is None:
+            raise StageError(name, str(exc)) from exc
+        raise StageError(name, f"{exc.filename}: {exc.strerror}") from exc
 
 
 def load_input(config: PipelineConfig) -> EventLog:
     if not config.input:
         raise ConfigError("no input log given")
     with _stage("load"):
-        try:
-            return load_log(config.input, case_col=config.case_col,
-                            activity_col=config.activity_col,
-                            time_col=config.time_col)
-        except OSError as exc:
-            raise StageError("load", str(exc)) from exc
+        return load_log(config.input, case_col=config.case_col,
+                        activity_col=config.activity_col,
+                        time_col=config.time_col)
 
 
 def _lift(log: EventLog, config: PipelineConfig, selected: list[LocalProcessModel]):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from loglift import (LocalProcessModel, LogliftError, LpmRanking,
                      make_lpm, parse_tree, save_ranking, segment, seq, support,
                      tau, tree_to_net, xor)
 from loglift.lpm import check_lpm_tree
+from loglift.petrinet import Replay
 from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, mk_log,
                       mk_trace)
 
@@ -253,9 +255,9 @@ def test_discover_lpms_bound_skips_candidates(monkeypatch):
     calls = []
     scored = loglift.lpm._support
 
-    def counting(projections, coverage):
+    def counting(*args):
         calls.append(1)
-        return scored(projections, coverage)
+        return scored(*args)
 
     monkeypatch.setattr(loglift.lpm, "_support", counting)
     log = _planted_log(traces=10, instances=2, seed=11)
@@ -264,6 +266,42 @@ def test_discover_lpms_bound_skips_candidates(monkeypatch):
     calls.clear()
     discover_lpms(log, max_results=10**6)
     assert bounded * 2 < len(calls)
+
+
+def test_discover_lpms_floor_stops_scoring_candidates(monkeypatch):
+    # once a round's top is full, a candidate stops walking its projections
+    # as soon as it cannot reach the lowest kept support
+    walked = []
+    offered = []
+    walk = loglift.lpm._ForwardCoverage.__call__
+    scored = loglift.lpm._support
+
+    def counting_walk(self, projected):
+        walked.append(1)
+        return walk(self, projected)
+
+    def counting_support(projections, *args):
+        offered.append(len(projections))
+        return scored(projections, *args)
+
+    monkeypatch.setattr(loglift.lpm._ForwardCoverage, "__call__", counting_walk)
+    monkeypatch.setattr(loglift.lpm, "_support", counting_support)
+    discover_lpms(_planted_log(traces=10, instances=2, seed=11))
+    assert len(walked) * 2 < sum(offered)
+
+
+def test_support_floor_boundary():
+    # the exact support at or above the floor, None strictly below it
+    lpm = make_lpm(parse_tree("seq(a,b)"))
+    projections = Counter({("a", "b", "a"): 3, ("b",): 2, ("a", "b"): 1, (): 4})
+    coverage = loglift.lpm._ForwardCoverage(Replay(lpm.net))
+    exact = loglift.lpm._support(projections, coverage)
+    assert exact == 2 * 3 + 0 * 2 + 2 * 1
+    for floor in (exact - 1, exact):
+        assert loglift.lpm._support(projections, coverage, floor) == exact
+    assert loglift.lpm._support(projections, coverage, exact + 1) is None
+    assert loglift.lpm._support(projections, coverage, 0) == exact
+    assert loglift.lpm._support(Counter(), coverage, 1) is None
 
 
 def test_discover_lpms_empty_log():

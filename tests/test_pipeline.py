@@ -486,6 +486,43 @@ def test_cli_stage_failures_exit_2(tmp_path, capsys, cli_log):
         assert "[filter]" in err and "index.tsv" in err, err
 
 
+def test_cli_output_write_failures_exit_2(tmp_path, capsys, cli_log):
+    # an output path that cannot be written is a stage failure naming the
+    # path, not a traceback
+    missing = tmp_path / "nodir"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    lpm_dir = tmp_path / "lpms"
+    model = tmp_path / "m.pnml"
+    search = ["--max-activities", "2", "--beam-width", "4", "--max-results", "4"]
+    assert main(["discover-lpms", "--input", cli_log, "--out-dir", str(lpm_dir),
+                 *search]) == 0
+    assert main(["discover", "--input", cli_log, "--out", str(model)]) == 0
+    capsys.readouterr()
+    for stage, path, args in (
+            ("generate", missing / "g.xes", ["generate", "--patterns", "a", "--out"]),
+            ("discover", missing / "m.pnml", ["discover", "--input", cli_log, "--out"]),
+            ("discover", missing / "t.txt", ["discover", "--input", cli_log, "--out",
+                                             str(tmp_path / "m2.pnml"), "--tree-out"]),
+            ("discover-lpms", a_file, ["discover-lpms", "--input", cli_log, *search,
+                                       "--out-dir"]),
+            ("abstract", missing / "a.xes", ["abstract", "--input", cli_log, "--lpms",
+                                             str(lpm_dir), "--out"]),
+            ("abstract", missing / "am.pnml", ["abstract", "--input", cli_log, "--lpms",
+                                               str(lpm_dir), "--out",
+                                               str(tmp_path / "a.xes"), "--model-out"]),
+            ("evaluate", missing / "r.txt", ["evaluate", "--input", cli_log, "--model",
+                                             str(model), "--out"]),
+            ("sweep", missing / "s.csv", ["sweep", "--input", cli_log, *search,
+                                          "--t-divs", "0.5", "--ks", "1",
+                                          "--compositions", "interleaving", "--out"]),
+            ("write", a_file, ["pipeline", "--input", cli_log, *search, "--out-dir"])):
+        assert main([*args, str(path)]) == 2, (stage, path)
+        err = capsys.readouterr().err
+        assert err.startswith(f"loglift: [{stage}] {path}: "), err
+    assert not missing.exists()
+
+
 def test_python_m_loglift_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
