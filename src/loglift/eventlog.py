@@ -125,7 +125,8 @@ def parse_xes(source) -> EventLog:
     """Parse XES from bytes, a binary file object or a file path.
 
     Raises LogFormatError for malformed XML (with line and column) and for
-    events that lack a concept:name (naming the offending trace).
+    events whose concept:name is missing or empty (naming the offending
+    trace).
     """
     root = read_xml(source, "XML")
     if strip_ns(root.tag) != "log":
@@ -163,10 +164,9 @@ def _parse_event(event_el, trace_index: int, case_id: str) -> Event:
             timestamp = _parse_timestamp(value, f"trace {case_id!r} (index {trace_index})")
         else:
             attributes[key] = value
-    if activity is None:
-        raise LogFormatError(
-            f"event without concept:name in trace {case_id!r} (index {trace_index})"
-        )
+    if not activity:
+        problem = "without concept:name" if activity is None else "with empty concept:name"
+        raise LogFormatError(f"event {problem} in trace {case_id!r} (index {trace_index})")
     return Event(activity=activity, lifecycle=lifecycle, timestamp=timestamp,
                  attributes=attributes)
 
@@ -206,7 +206,9 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str | None = N
     Rows are grouped into traces by the case column (trace order follows
     first appearance of each case). With a time column, events inside a
     trace are sorted by timestamp, ties keeping row order; without one, row
-    order is kept as-is.
+    order is kept as-is. An empty activity cell, or a case whose timestamps
+    mix values with and without a UTC offset, raises LogFormatError naming
+    the line.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -239,11 +241,20 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str | None = N
             continue
         if len(row) < len(header):
             raise LogFormatError(f"line {row_num}: expected {len(header)} fields, got {len(row)}")
+        if not row[act_i]:
+            raise LogFormatError(f"line {row_num}: empty {activity_col!r} cell "
+                                 f"in case {row[case_i]!r}")
+        entries = cases.setdefault(row[case_i], [])
         timestamp = None
         if time_i is not None:
             timestamp = _parse_timestamp(row[time_i], f"line {row_num}")
-        event = Event(activity=row[act_i], timestamp=timestamp)
-        cases.setdefault(row[case_i], []).append((timestamp, row_num, event))
+            # aware and naive datetimes do not compare, so a case cannot be
+            # sorted when it mixes the two
+            if entries and (timestamp.tzinfo is None) != (entries[0][0].tzinfo is None):
+                raise LogFormatError(
+                    f"line {row_num}: case {row[case_i]!r} mixes timestamps with and "
+                    f"without a UTC offset (its first event is on line {entries[0][1]})")
+        entries.append((timestamp, row_num, Event(activity=row[act_i], timestamp=timestamp)))
 
     log = EventLog()
     for case_id, entries in cases.items():

@@ -11,7 +11,13 @@ pattern's subset automaton (memoised per pattern). Discovery scores a
 candidate on its shape: the tree with each activity renamed to its rank in
 the sorted activity set, against the trace projections renamed the same
 way. Candidates of one shape share one automaton, and candidates over one
-activity set share one projection Counter. A candidate covers at most the
+activity set share one projection Counter. A beam round gives every
+distinct renamed word an int id in one word table, and each shape's
+forward pass memoises word id -> coverage, so a shape walks a word at
+most once per round however many activity sets project onto it. A memo
+hit is a word the shape has already walked in full, so it skips only a
+walk that would add no transition and step no Replay: state_limit is hit
+exactly as without the memo. A candidate covers at most the
 events its activity set has in the log, so a beam round scores activity
 sets by that bound, highest first, and stops at the first set whose bound
 is below the support of every candidate it would keep so far. Once the
@@ -32,7 +38,6 @@ produced during search collapse to one canonical form.
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 
 from .errors import LogFormatError, LogliftError
 from .eventlog import EventLog, complete_word
@@ -431,6 +436,9 @@ class _ForwardCoverage:
         self._ids = {start: 0}
         self._states = [start]
         self._moves: list[dict[str, tuple[int, int]]] = [{}]
+        # word id -> coverage of a word walked in full, kept by _support;
+        # the ids come from the one word table all its callers share
+        self.memo: dict[int, int] = {}
 
     def __call__(self, projected) -> int:
         moves = self._moves
@@ -475,26 +483,43 @@ def _projections(traces_acts, names: dict[str, str]) -> Counter:
     return Counter(tuple(names[a] for a in t if a in names) for t in traces_acts)
 
 
-def _support(projections: Counter, coverage: _ForwardCoverage,
-             floor: int | None = None) -> int | None:
-    """Events covered in the projections, or None when that is below floor.
+def _word_entries(projections: Counter, word_ids: dict[tuple, int]) -> tuple[list, int]:
+    """The projections as (word id, word, multiplicity, events) entries,
+    and their total events. word_ids is the word table: a word it lacks
+    gets the next id. Coverage memos are keyed by these ids, so every
+    projection scored on one coverage must come from one table."""
+    entries = []
+    total = 0
+    for word, n in projections.items():
+        events = len(word) * n
+        total += events
+        entries.append((word_ids.setdefault(word, len(word_ids)), word, n, events))
+    return entries, total
 
-    With a floor, the walk stops at the first projection after which the
-    events left uncovered exceed all the projections' events minus floor:
-    covering every event still to come cannot reach floor then. A support
-    equal to floor is returned exactly.
+
+def _support(entries, total: int, coverage: _ForwardCoverage,
+             floor: int | None = None) -> int | None:
+    """Events covered in the entries of _word_entries, or None when that is
+    below floor.
+
+    A word already in the coverage's memo is not walked again. With a
+    floor, scoring stops at the first word after which the events left
+    uncovered exceed total - floor: covering every event still to come
+    cannot reach floor then. A support equal to floor is returned exactly.
     """
-    if floor is None:
-        return sum(coverage(p) * n for p, n in projections.items())
-    allowed = sum(map(mul, map(len, projections), projections.values())) - floor
+    allowed = total if floor is None else total - floor
     if allowed < 0:
         return None
+    memo = coverage.memo
     lost = 0
-    for p, n in projections.items():
-        lost += (len(p) - coverage(p)) * n
+    for wid, word, n, events in entries:
+        covered = memo.get(wid)
+        if covered is None:
+            covered = memo[wid] = coverage(word)
+        lost += events - covered * n
         if lost > allowed:
             return None
-    return allowed + floor - lost
+    return total - lost
 
 
 def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMIT,
@@ -534,9 +559,10 @@ def support(log: EventLog, lpm: LocalProcessModel,
     One forward pass per distinct projection over the pattern's subset
     automaton; segment() is the exact reference it is tested against.
     """
-    projections = _projections((complete_word(t) for t in log),
-                               {a: a for a in lpm.activities})
-    return _support(projections, _ForwardCoverage(Replay(lpm.net, state_limit=state_limit)))
+    entries, total = _word_entries(_projections((complete_word(t) for t in log),
+                                                {a: a for a in lpm.activities}), {})
+    return _support(entries, total,
+                    _ForwardCoverage(Replay(lpm.net, state_limit=state_limit)))
 
 
 # -------------------------------------------------------------- discovery
@@ -581,8 +607,16 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     activity set the renaming is a bijection, so candidates are
     deduplicated on their shape's text, and the renamed tree is built only
     for a shape not yet cached.
+    Each distinct renamed word gets an int id from a word table shared by
+    all activity sets of the round, built with each set's projections and
+    their total events. A shape's forward pass memoises word id ->
+    coverage, so a shape that meets a word again, in another activity set,
+    reads its coverage instead of walking it. Only fully walked words are
+    memoised, and such a walk would add no transition, so the memo changes
+    neither the Replay steps nor where state_limit is hit.
     Round k scores only k-activity trees, so no tree, shape or activity set
-    recurs in a later round: the shape cache lives for one round.
+    recurs in a later round: the shape cache and word table live for one
+    round.
     """
     for name, value in (("max_activities", max_activities),
                         ("beam_width", beam_width), ("max_results", max_results)):
@@ -625,12 +659,13 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
         by_bound = sorted((-sum(freqs[a] for a in acts), sorted(acts), acts)
                           for acts in steps)
         shapes: dict[str, _ForwardCoverage] = {}
+        word_ids: dict[tuple[str, ...], int] = {}  # the round's word table
         top: list[int] = []  # min-heap of the best keep supports so far
         for neg_bound, ordered, acts in by_bound:
             if len(top) == keep and -neg_bound < top[0]:
                 return
             names = {a: str(i) for i, a in enumerate(ordered)}
-            projections = _projections(traces_acts, names)
+            entries, total = _word_entries(_projections(traces_acts, names), word_ids)
             seen: set[str] = set()
             for tree, x, y in steps[acts]:
                 lx, ly = leaves[x], leaves[y]
@@ -647,7 +682,7 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
                             tree_to_net(_relabel(candidate, names)),
                             state_limit=state_limit))
                     floor = top[0] if len(top) == keep else None
-                    s = _support(projections, coverage, floor)
+                    s = _support(entries, total, coverage, floor)
                     if s is None:
                         continue
                     if floor is None:

@@ -111,6 +111,19 @@ def test_xes_rejects_garbage(tmp_path):
         parse_xes(str(path))
 
 
+def test_xes_rejects_missing_or_empty_activity():
+    def xes(event):
+        return (b"<log><trace><string key='concept:name' value='c7'/>"
+                b"<event><string key='concept:name' value='a'/></event>"
+                + event + b"</trace></log>")
+    for event, problem in ((b"<event/>", "without concept:name"),
+                           (b"<event><string key='concept:name' value=''/></event>",
+                            "with empty concept:name")):
+        with pytest.raises(LogFormatError,
+                           match=rf"event {problem} in trace 'c7' \(index 0\)"):
+            parse_xes(xes(event))
+
+
 def test_csv_basic_grouping(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("case,activity\n1,a\n2,x\n1,b\n2,y\n1,c\n")
@@ -129,6 +142,29 @@ def test_csv_sorts_by_time_column_stably(tmp_path):
         "1,tie2,2024-01-01T00:00:00\n")
     log = parse_csv(str(path), "case", "activity", time_col="ts")
     assert log.traces[0].activities() == ["tie1", "tie2", "late"]
+
+
+def test_csv_rejects_empty_activity_cell():
+    with pytest.raises(LogFormatError, match="line 3: empty 'activity' cell in case '2'"):
+        parse_csv(b"case,activity\n1,a\n2,\n", "case", "activity")
+
+
+def test_csv_rejects_a_case_mixing_aware_and_naive_timestamps():
+    data = (b"case,activity,ts\n"
+            b"1,a,2020-01-01T00:00:00Z\n"
+            b"2,a,2020-01-01T00:00:00\n"
+            b"1,b,2020-01-02T00:00:00\n"
+            b"1,c,2020-01-03T00:00:00\n")
+    with pytest.raises(LogFormatError, match=r"line 4: case '1' mixes timestamps with "
+                                             r"and without a UTC offset.*line 2"):
+        parse_csv(data, "case", "activity", time_col="ts")
+    # cases that keep to one kind each still parse and sort
+    log = parse_csv(b"case,activity,ts\n"
+                    b"1,b,2020-01-02T00:00:00+01:00\n"
+                    b"2,y,2020-01-02T00:00:00\n"
+                    b"1,a,2020-01-01T00:00:00Z\n"
+                    b"2,x,2020-01-01T00:00:00\n", "case", "activity", time_col="ts")
+    assert [t.activities() for t in log] == [["a", "b"], ["x", "y"]]
 
 
 def test_csv_missing_column_is_an_error(tmp_path):

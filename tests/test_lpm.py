@@ -290,18 +290,49 @@ def test_discover_lpms_floor_stops_scoring_candidates(monkeypatch):
     assert len(walked) * 2 < sum(offered)
 
 
+def test_discover_lpms_walks_each_word_once_per_shape(monkeypatch):
+    # a shape meets the same renamed word again in other activity sets of
+    # its round; its coverage memo must answer those without a new walk
+    walks = []
+    walk = loglift.lpm._ForwardCoverage.__call__
+
+    def recording_walk(self, projected):
+        # the tuple holds the coverage, so no freed object's id is reused
+        walks.append((self, tuple(projected)))
+        return walk(self, projected)
+
+    monkeypatch.setattr(loglift.lpm._ForwardCoverage, "__call__", recording_walk)
+    discover_lpms(_planted_log(traces=10, instances=2, seed=11))
+    assert walks
+    assert len(set(walks)) == len(walks)
+
+
+def test_discover_lpms_memo_does_not_alias_words():
+    # renamed, {a,b} projects onto (0,1), (0,), (1,0) and {a,c} onto (0,),
+    # (1,0), (0,1), in that order: ids counted per set would name different
+    # words alike, and a shape scored in both sets would read the coverage
+    # of the wrong word
+    log = mk_log(["ab", "ca", "ab", "ca", "ba", "ac"])
+    ranking = discover_lpms(log, max_activities=3, beam_width=10**3,
+                            max_results=10**6)
+    assert {len(m.activities) for m in ranking} == {1, 2, 3}
+    for model in ranking:
+        assert support(log, model) == model.support, model
+
+
 def test_support_floor_boundary():
     # the exact support at or above the floor, None strictly below it
     lpm = make_lpm(parse_tree("seq(a,b)"))
     projections = Counter({("a", "b", "a"): 3, ("b",): 2, ("a", "b"): 1, (): 4})
     coverage = loglift.lpm._ForwardCoverage(Replay(lpm.net))
-    exact = loglift.lpm._support(projections, coverage)
+    words = loglift.lpm._word_entries(projections, {})
+    exact = loglift.lpm._support(*words, coverage)
     assert exact == 2 * 3 + 0 * 2 + 2 * 1
     for floor in (exact - 1, exact):
-        assert loglift.lpm._support(projections, coverage, floor) == exact
-    assert loglift.lpm._support(projections, coverage, exact + 1) is None
-    assert loglift.lpm._support(projections, coverage, 0) == exact
-    assert loglift.lpm._support(Counter(), coverage, 1) is None
+        assert loglift.lpm._support(*words, coverage, floor) == exact
+    assert loglift.lpm._support(*words, coverage, exact + 1) is None
+    assert loglift.lpm._support(*words, coverage, 0) == exact
+    assert loglift.lpm._support(*loglift.lpm._word_entries(Counter(), {}), coverage, 1) is None
 
 
 def test_discover_lpms_empty_log():

@@ -486,6 +486,27 @@ def test_cli_stage_failures_exit_2(tmp_path, capsys, cli_log):
         assert "[filter]" in err and "index.tsv" in err, err
 
 
+def test_cli_empty_activity_or_mixed_timestamps_exit_2(tmp_path, capsys):
+    # bad input rows are load failures naming where they are, not tracebacks
+    xes_path = tmp_path / "empty.xes"
+    xes_path.write_text("<log><trace><event><string key='concept:name' value=''/>"
+                        "</event></trace></log>")
+    csv_empty = tmp_path / "empty.csv"
+    csv_empty.write_text("case,activity\n1,a\n1,\n")
+    csv_mixed = tmp_path / "mixed.csv"
+    csv_mixed.write_text("case,activity,time\n1,a,2020-01-01T00:00:00Z\n"
+                         "1,b,2020-01-01T01:00:00\n")
+    for path, args, where in (
+            (xes_path, ["discover-lpms", "--out-dir", str(tmp_path / "l")], "trace '0'"),
+            (xes_path, ["discover", "--out", str(tmp_path / "m.pnml")], "trace '0'"),
+            (csv_empty, ["pipeline", "--out-dir", str(tmp_path / "r1")], "line 3"),
+            (csv_mixed, ["pipeline", "--time-col", "time", "--out-dir",
+                         str(tmp_path / "r2")], "line 3")):
+        assert main([args[0], "--input", str(path), *args[1:]]) == 2, (path, args)
+        err = capsys.readouterr().err
+        assert err.startswith("loglift: [load] ") and where in err, err
+
+
 def test_cli_output_write_failures_exit_2(tmp_path, capsys, cli_log):
     # an output path that cannot be written is a stage failure naming the
     # path, not a traceback
