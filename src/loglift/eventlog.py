@@ -236,7 +236,11 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str | None = N
     time_i = columns[time_col] if time_col else None
 
     cases: dict[str, list[tuple[datetime | None, int, Event]]] = {}
-    for row_num, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        # a quoted field may span lines, so a row is named by the line it
+        # starts on, not by its count of records
+        row_num, next_line = next_line, reader.line_num + 1
         if not row:
             continue
         if len(row) < len(header):

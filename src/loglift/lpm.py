@@ -10,24 +10,28 @@ Support is computed by one forward pass per distinct projection over the
 pattern's subset automaton (memoised per pattern). Discovery scores a
 candidate on its shape: the tree with each activity renamed to its rank in
 the sorted activity set, against the trace projections renamed the same
-way. Candidates of one shape share one automaton, and candidates over one
-activity set share one projection Counter. A beam round gives every
-distinct renamed word an int id in one word table, and each shape's
-forward pass memoises word id -> coverage, so a shape walks a word at
-most once per round however many activity sets project onto it. A memo
-hit is a word the shape has already walked in full, so it skips only a
-walk that would add no transition and step no Replay: state_limit is hit
-exactly as without the memo. A candidate covers at most the
-events its activity set has in the log, so a beam round scores activity
-sets by that bound, highest first, and stops at the first set whose bound
-is below the support of every candidate it would keep so far. Once the
-round keeps a full top, its lowest support is a floor for each candidate
-too: scoring stops, and the candidate is dropped, as soon as the events
-its projections have left uncovered show that it cannot reach the floor.
-A dropped candidate stops stepping its shape's Replay, so state_limit
-can be hit only by work that could still rank. segment() computes the
-split itself with the quadratic scan; it is the exact reference the
-forward pass is tested against.
+way. Shapes equal up to renaming share one automaton, built once for the
+tree with its activities named in the order they first appear, which each
+shape walks through its own renaming; candidates over one activity set
+share one projection Counter. A beam round gives every distinct renamed
+word an int id in one word table, and each shape's forward pass memoises
+word id -> coverage, so a shape walks a word at most once per round
+however many activity sets project onto it. The memo is the shape's own,
+not its shared automaton's: one word id means different words to different
+renamings. A memo hit is a word the shape has already walked in full, so
+it skips only a walk that would add no transition and step no Replay:
+state_limit is hit exactly as without the memo. A candidate covers at most
+the events its activity set has in the log, so a beam round scores
+activity sets by that bound, highest first, and stops at the first set
+whose bound is below the support of every candidate it would keep so far.
+Once the round keeps a full top, its lowest support is a floor for each
+candidate too: scoring stops, and the candidate is dropped, as soon as the
+events its projections have left uncovered show that it cannot reach the
+floor. A dropped candidate stops stepping its shape's Replay, so
+state_limit, which bounds the markings of the Replay all renamings of a
+shape share, can be hit only by work that could still rank. segment()
+computes the split itself with the quadratic scan; it is the exact
+reference the forward pass is tested against.
 
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
@@ -35,6 +39,7 @@ nested same-operator children are flattened, so equal-language duplicates
 produced during search collapse to one canonical form.
 """
 
+import copy
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
@@ -428,6 +433,14 @@ class _ForwardCoverage:
     costs one dict lookup per event once its transitions are known. Only
     new transitions call Replay.step, on the same (subset, activity) pairs
     segment's quadratic scan steps, so both hit the state limit alike.
+
+    Nets equal up to renaming share one automaton: renamed(rename) gives a
+    view that shares this Replay, its interned states and its moves, and
+    renames every event of a word by rename before the walk. Renaming is a
+    bijection on net and words, so a view's coverage is that of its own
+    renamed net. Each view keeps its own memo, since the word ids it is
+    keyed by mean different words to different renamings. Built from a
+    Replay alone, a coverage renames every label to itself.
     """
 
     def __init__(self, rp: Replay):
@@ -436,15 +449,26 @@ class _ForwardCoverage:
         self._ids = {start: 0}
         self._states = [start]
         self._moves: list[dict[str, tuple[int, int]]] = [{}]
+        self._rename = {a: a for a in rp.labels if a is not None}
         # word id -> coverage of a word walked in full, kept by _support;
         # the ids come from the one word table all its callers share
         self.memo: dict[int, int] = {}
 
+    def renamed(self, rename: dict[str, str]) -> "_ForwardCoverage":
+        """A view of this automaton over words renamed by rename, with an
+        empty memo of its own."""
+        view = copy.copy(self)
+        view._rename = rename
+        view.memo = {}
+        return view
+
     def __call__(self, projected) -> int:
         moves = self._moves
+        rename = self._rename
         state = 0
         total = 0
         for a in projected:
+            a = rename[a]
             hit = moves[state].get(a)
             if hit is None:
                 hit = self._advance(state, a)
@@ -597,26 +621,31 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     A candidate is scored on its shape: the tree with every activity
     renamed to its rank in the sorted activity set ("0", "1", ...), over
     the projections renamed the same way. Renaming is a bijection on both
-    net and words, so the support is the candidate's own. Candidates of one
-    shape share one Replay and its memoised forward pass, so state_limit
-    bounds the markings of each shape's shared Replay, which explores the
-    words of all those candidates, not the markings of a Replay per
-    candidate. A skipped activity set builds no projections and no Replay,
-    and an abandoned candidate stops stepping its shape's Replay, so the
-    limit can be hit only by work that could still rank. Within one
+    net and words, so the support is the candidate's own. Shapes equal up
+    to renaming share one forward automaton and its Replay: it is built
+    for the tree with the k-th distinct activity met among its leaves named
+    "k", and each shape walks it through its own rank -> appearance
+    renaming. So state_limit bounds the markings of the Replay that all
+    renamings of a shape share, which explores the words of all their
+    candidates, not the markings of a Replay per candidate. A skipped
+    activity set builds no projections and no Replay, and an abandoned
+    candidate stops stepping its shape's Replay, so the limit can be hit
+    only by work that could still rank. Within one
     activity set the renaming is a bijection, so candidates are
     deduplicated on their shape's text, and the renamed tree is built only
     for a shape not yet cached.
     Each distinct renamed word gets an int id from a word table shared by
     all activity sets of the round, built with each set's projections and
     their total events. A shape's forward pass memoises word id ->
-    coverage, so a shape that meets a word again, in another activity set,
-    reads its coverage instead of walking it. Only fully walked words are
+    coverage in a memo of its own, not its shared automaton's, since one
+    word id means different words to different renamings. So a shape that
+    meets a word again, in another activity set, reads its coverage
+    instead of walking it. Only fully walked words are
     memoised, and such a walk would add no transition, so the memo changes
     neither the Replay steps nor where state_limit is hit.
     Round k scores only k-activity trees, so no tree, shape or activity set
-    recurs in a later round: the shape cache and word table live for one
-    round.
+    recurs in a later round: the shape and automaton caches and the word
+    table live for one round.
     """
     for name, value in (("max_activities", max_activities),
                         ("beam_width", beam_width), ("max_results", max_results)):
@@ -658,7 +687,8 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
                         steps.setdefault(have | {y}, []).append((tree, x, y))
         by_bound = sorted((-sum(freqs[a] for a in acts), sorted(acts), acts)
                           for acts in steps)
-        shapes: dict[str, _ForwardCoverage] = {}
+        shapes: dict[str, _ForwardCoverage] = {}  # rank shape -> its view
+        automata: dict[str, _ForwardCoverage] = {}  # shape up to renaming
         word_ids: dict[tuple[str, ...], int] = {}  # the round's word table
         top: list[int] = []  # min-heap of the best keep supports so far
         for neg_bound, ordered, acts in by_bound:
@@ -678,9 +708,18 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
                     seen.add(shape_key)
                     coverage = shapes.get(shape_key)
                     if coverage is None:
-                        coverage = shapes[shape_key] = _ForwardCoverage(Replay(
-                            tree_to_net(_relabel(candidate, names)),
-                            state_limit=state_limit))
+                        # a candidate's leaves are distinct activities: the
+                        # k-th one met is "k"
+                        order = {t.label: str(i)
+                                 for i, t in enumerate(_walk_leaves(candidate))}
+                        automaton_key = _shape_text(candidate, order)
+                        automaton = automata.get(automaton_key)
+                        if automaton is None:
+                            automaton = automata[automaton_key] = _ForwardCoverage(Replay(
+                                tree_to_net(_relabel(candidate, order)),
+                                state_limit=state_limit))
+                        coverage = shapes[shape_key] = automaton.renamed(
+                            {names[a]: n for a, n in order.items()})
                     floor = top[0] if len(top) == keep else None
                     s = _support(entries, total, coverage, floor)
                     if s is None:

@@ -167,6 +167,23 @@ def test_csv_rejects_a_case_mixing_aware_and_naive_timestamps():
     assert [t.activities() for t in log] == [["a", "b"], ["x", "y"]]
 
 
+def test_csv_errors_name_file_lines_after_a_multi_line_field():
+    # a quoted field spanning lines is one record but two lines, so rows
+    # after it are named by the line they start on
+    with pytest.raises(LogFormatError, match="line 4: empty 'activity' cell in case '1'"):
+        parse_csv(b'case,activity,note\n1,a,"x\ny"\n1,,z\n', "case", "activity")
+    with pytest.raises(LogFormatError, match="line 4: expected 3 fields, got 2"):
+        parse_csv(b'case,activity,note\n1,a,"x\ny"\n1,b\n', "case", "activity")
+    data = (b'case,activity,ts\n'
+            b'2,"multi\nline",2020-01-01T00:00:00\n'
+            b'1,a,2020-01-01T00:00:00Z\n'
+            b'\n'
+            b'1,b,2020-01-02T00:00:00\n')
+    with pytest.raises(LogFormatError, match=r"line 6: case '1' mixes timestamps with "
+                                             r"and without a UTC offset.*line 4\)"):
+        parse_csv(data, "case", "activity", time_col="ts")
+
+
 def test_csv_missing_column_is_an_error(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("case,activity\n1,a\n")

@@ -1,6 +1,7 @@
 """Process trees, pattern nets, segmentation, LPM mining and filtering."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -15,8 +16,8 @@ from loglift import (LocalProcessModel, LogliftError, LpmRanking,
                      tau, tree_to_net, xor)
 from loglift.lpm import check_lpm_tree
 from loglift.petrinet import Replay
-from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, mk_log,
-                      mk_trace)
+from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, all_words,
+                      mk_log, mk_trace)
 
 
 # ----------------------------------------------------------------- trees
@@ -191,7 +192,16 @@ def _shape_text(tree, names):
     return tree.op + "(" + ",".join(_shape_text(c, names) for c in tree.children) + ")"
 
 
-def test_discover_lpms_builds_one_replay_per_shape(monkeypatch):
+def _first_appearance(tree):
+    """Each activity renamed to the order it first appears in among the leaves."""
+    names = {}
+    for t in loglift.lpm._walk_leaves(tree):
+        if t.label is not None:
+            names.setdefault(t.label, str(len(names)))
+    return names
+
+
+def _counting_replays(monkeypatch):
     built = []
 
     class CountingReplay(loglift.lpm.Replay):
@@ -200,15 +210,64 @@ def test_discover_lpms_builds_one_replay_per_shape(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(loglift.lpm, "Replay", CountingReplay)
+    return built
+
+
+def test_discover_lpms_builds_one_replay_per_shape(monkeypatch):
+    # a shape is a tree up to renaming: shapes equal once activities are
+    # named by first appearance share one Replay, however their activities
+    # rank in the sorted activity set
+    built = _counting_replays(monkeypatch)
     log = _planted_log(traces=10, instances=2, seed=11)
     ranking = discover_lpms(log, max_results=10**6)
     candidates = [m for m in ranking if len(m.activities) > 1]
+    rank_shapes = set()
     shapes = set()
     for m in candidates:
         names = {a: str(i) for i, a in enumerate(sorted(m.activities))}
-        shapes.add(_shape_text(m.tree, names))
+        rank_shapes.add(_shape_text(m.tree, names))
+        shapes.add(_shape_text(m.tree, _first_appearance(m.tree)))
     assert len(built) == len(shapes)
+    assert len(built) < len(rank_shapes)
     assert len(built) * 10 < len(candidates)
+
+
+def test_discover_lpms_renamings_of_one_shape_keep_their_own_supports(monkeypatch):
+    # seq(a,b) and seq(b,a) walk one automaton, over the same word ids of
+    # their activity set; each must still read the coverage of its own net
+    built = _counting_replays(monkeypatch)
+    log = generate_log([parse_tree("seq(a,b)")], instances=1, traces=5,
+                       noise_rate=0, seed=1)
+    ranking = discover_lpms(log, max_activities=2, max_results=10**6)
+    pairs = [m for m in ranking if len(m.activities) == 2]
+    assert len(pairs) == 6
+    assert len(built) == 4
+    by_tree = {str(m.tree): m.support for m in ranking}
+    assert by_tree["seq(a,b)"] == 10
+    assert by_tree["seq(b,a)"] == 0
+    for model in ranking:
+        assert support(log, model) == model.support, model
+
+
+@pytest.mark.parametrize("text", ["seq(a,xor(b,c))", "and(a,loop(b,c))",
+                                  "loop(seq(a,b),xor(c,d))", "xor(seq(a,b),and(c,d))",
+                                  "seq(and(a,loop(b,c)),d)", "loop(and(a,b),seq(c,xor(d,tau)))"])
+def test_renamed_view_matches_the_renamed_net(text):
+    # every renaming walks the one automaton of the tree, in turn, so the
+    # views also meet states and moves that other views added
+    tree = parse_tree(text)
+    acts = sorted(tree.activities())
+    shared = loglift.lpm._ForwardCoverage(Replay(tree_to_net(tree)))
+    cases = []
+    for perm in itertools.permutations(acts):
+        pi = dict(zip(acts, perm))
+        view = shared.renamed({new: old for old, new in pi.items()})
+        own = loglift.lpm._ForwardCoverage(
+            Replay(tree_to_net(loglift.lpm._relabel(tree, pi))))
+        cases.append((view, own))
+    for word in all_words(acts, 5):
+        for view, own in cases:
+            assert view(word) == own(word), (text, word)
 
 
 # sha256 of index.tsv (rank, support, diversity, activities, tree) of one
