@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import PatternError, SearchLimitError
-from .eventlog import COMPLETE, START, Event, EventLog, Trace, complete_word
+from .eventlog import COMPLETE, START, Event, EventLog, Trace
 from .lpm import LocalProcessModel, ProcessTree
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay, splice)
@@ -225,6 +225,18 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
     marking. Each reached state records only its parent state and the
     transition taken (-1 for a log move); move objects are built along the
     returned path alone.
+
+    Costs and heap keys are single ints in exact mixed radices, so
+    comparing two ints compares the tuples they encode. A cost vector
+    (cost, gap moves, visible model moves) is packed as (cost * (n + 1) +
+    gap moves) * M + model moves, with M = state_limit + 2: gap moves are
+    log moves, so at most n, and the model moves on a path are at most the
+    states settled before it ends, so at most state_limit + 1. A state at
+    log position pos with packed cost d has the pop key d * (n + 1) +
+    hw[pos], where hw[pos] = foreign_suffix[pos] * (n + 1) * M * (n + 1) +
+    n - pos adds the heuristic to the cost digit and puts deeper positions
+    first. Heap entries are (key, push counter, state); only the goal's
+    cost is decoded.
     """
     rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -236,13 +248,16 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
     foreign_suffix = [0] * width
     for i in range(n - 1, -1, -1):
         foreign_suffix[i] = foreign_suffix[i + 1] + (0 if events[i] in alphabet else 1)
+    model_radix = state_limit + 2
+    cost_unit = width * model_radix
+    hw = [foreign_suffix[pos] * cost_unit * width + n - pos for pos in range(width)]
 
     start = rp.initial_id * width
     goal = rp.final_id * width + n
-    dist: dict[int, tuple[int, int, int]] = {start: (0, 0, 0)}
+    dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, int]] = {}
     counter = 0
-    heap = [((foreign_suffix[0], 0, 0, 0), 0, start)]
+    heap = [(hw[0], 0, start)]
     settled: set[int] = set()
 
     while heap:
@@ -255,47 +270,46 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
         if len(settled) > state_limit:
             raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
         mid, pos = divmod(state, width)
-        vec = dist[state]
-        c, gp, mv = vec
+        d = dist[state]
         silent, visible, by_label = successors(mid)
         if pos < n:
             # sync moves
             nxt_pos = pos + 1
-            prio = (c + foreign_suffix[nxt_pos], gp, mv, -nxt_pos)
+            key = d * width + hw[nxt_pos]
             for t, m in by_label.get(events[pos], ()):
                 nxt = m * width + nxt_pos
                 if nxt not in settled:
                     old = dist.get(nxt)
-                    if old is None or vec < old:
-                        dist[nxt] = vec
+                    if old is None or d < old:
+                        dist[nxt] = d
                         parent[nxt] = (state, t)
                         counter += 1
-                        heappush(heap, (prio, counter, nxt))
-        prio = (c + foreign_suffix[pos], gp, mv, -pos)
+                        heappush(heap, (key, counter, nxt))
+        key = d * width + hw[pos]
         for t, m in silent:
             nxt = m * width + pos
             if nxt not in settled:
                 old = dist.get(nxt)
-                if old is None or vec < old:
-                    dist[nxt] = vec
+                if old is None or d < old:
+                    dist[nxt] = d
                     parent[nxt] = (state, t)
                     counter += 1
-                    heappush(heap, (prio, counter, nxt))
+                    heappush(heap, (key, counter, nxt))
         if pos < n:
             # log move
             nxt = state + 1
             if nxt not in settled:
-                gap = 1 if gap_oracle is not None and events[pos] in gap_oracle(mid) else 0
-                new = (c + 1, gp + gap, mv)
+                new = d + cost_unit
+                if gap_oracle is not None and events[pos] in gap_oracle(mid):
+                    new += model_radix
                 old = dist.get(nxt)
                 if old is None or new < old:
                     dist[nxt] = new
                     parent[nxt] = (state, -1)
                     counter += 1
-                    heappush(heap, ((c + 1 + foreign_suffix[pos + 1], gp + gap, mv,
-                                     -pos - 1), counter, nxt))
-        new = (c + 1, gp, mv + 1)
-        prio = (c + 1 + foreign_suffix[pos], gp, mv + 1, -pos)
+                    heappush(heap, (new * width + hw[pos + 1], counter, nxt))
+        new = d + cost_unit + 1
+        key = new * width + hw[pos]
         for t, m in visible:
             nxt = m * width + pos
             if nxt not in settled:
@@ -304,7 +318,7 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
                     dist[nxt] = new
                     parent[nxt] = (state, t)
                     counter += 1
-                    heappush(heap, (prio, counter, nxt))
+                    heappush(heap, (key, counter, nxt))
 
     if goal not in settled:
         raise SearchLimitError("alignment search exhausted without reaching the final marking")
@@ -325,23 +339,9 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
                                        activity=rp.labels[t]))
         state = prev
     moves.reverse()
-    vec = dist[goal]
-    return Alignment(moves=moves, cost=vec[0], cost_vector=vec)
-
-
-def align(trace, model: AbstractionModel | AcceptingPetriNet,
-          state_limit: int = DEFAULT_STATE_LIMIT) -> Alignment:
-    """Align a trace (its complete-lifecycle events) against a model.
-
-    Given an AbstractionModel, gap moves are tracked so occurrences stay
-    contiguous; a plain net aligns on cost and model moves alone.
-    """
-    events = complete_word(trace)
-    if isinstance(model, AbstractionModel):
-        rp = Replay(model.net, state_limit=state_limit)
-        return align_words(events, model.net, state_limit=state_limit,
-                           replay=rp, gap_oracle=_GapOracle(model, rp))
-    return align_words(events, model, state_limit=state_limit)
+    cost, rest = divmod(dist[goal], cost_unit)
+    gaps, model = divmod(rest, model_radix)
+    return Alignment(moves=moves, cost=cost, cost_vector=(cost, gaps, model))
 
 
 # ------------------------------------------------------------- abstraction

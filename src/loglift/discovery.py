@@ -65,15 +65,6 @@ def _filter_noise(g: DirectlyFollowsGraph, noise: float) -> DirectlyFollowsGraph
                                 start_counts=starts, end_counts=ends)
 
 
-def build_dfg(log: EventLog, noise: float = 0.0) -> DirectlyFollowsGraph:
-    """Directly-follows graph of the complete-lifecycle events, with edges
-    (and start/end entries) below noise x the strongest sibling removed."""
-    if not 0 <= noise < 1:
-        raise ValueError(f"noise must be in [0, 1), got {noise}")
-    traces = Counter(complete_word(t) for t in log)
-    return _filter_noise(_dfg_of_counter(traces), noise)
-
-
 # ------------------------------------------------------------------- cuts
 
 def _components(nodes: set[str], adjacent: dict[str, set[str]]) -> list[list[str]]:

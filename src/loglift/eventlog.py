@@ -69,13 +69,6 @@ class EventLog:
         return {e.activity for t in self.traces for e in t.events}
 
 
-def project(trace: Trace, activities) -> Trace:
-    """Subsequence of the trace keeping only events over the given activities."""
-    acts = set(activities)
-    kept = [e for e in trace.events if e.activity in acts]
-    return Trace(case_id=trace.case_id, events=kept)
-
-
 def complete_word(trace) -> tuple[str, ...]:
     """The complete-lifecycle activities of a trace, in order; a plain
     sequence of activities is taken as the word itself."""
@@ -210,17 +203,17 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str | None = N
     mix values with and without a UTC offset, raises LogFormatError naming
     the line.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
+    if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = source.read()
+        text = source if isinstance(source, bytes) else source.read()
         if isinstance(text, bytes):
             text = text.decode("utf-8")
 
-    reader = csv.reader(io.StringIO(text))
+    # universal newlines, as a file opened by path reads: "\r", "\r\n" and
+    # "\n" each end one line
+    reader = csv.reader(io.StringIO(text, newline=None))
     try:
         header = next(reader)
     except StopIteration:

@@ -115,13 +115,16 @@ class Replay:
 
     - firing: (marking, transition) -> next marking
     - enabled transitions per marking, ascending
-    - successors per marking (for the aligner): the (transition, next
-      marking) pairs of its enabled transitions, split into silent and
-      visible, the visible ones also grouped by label, all in transition
-      order; an entry fires every enabled transition of its marking
-    - silent closures per marking, and set steps and enabled labels per
-      closed marking set (for LPM scoring and precision; these fire only
-      silent transitions and the ones the stepped label names)
+    - silent pairs per marking: the (transition, next marking) pairs of
+      its enabled silent transitions, in transition order
+    - successors per marking (for the aligner): those silent pairs, and
+      the visible pairs of its enabled transitions, also grouped by label,
+      in transition order; an entry fires every enabled transition of its
+      marking
+    - set steps and enabled labels per closed marking set (for LPM scoring
+      and precision; a step fires only the transitions the stepped label
+      names and closes their images over the cached silent pairs, so it
+      interns no marking outside the silent closures of those images)
     """
 
     def __init__(self, apn: AcceptingPetriNet, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -150,7 +153,7 @@ class Replay:
         self._mark_ids: dict[tuple[int, ...], int] = {}
         self._marks: list[tuple[int, ...]] = []
         self._fired: dict[tuple[int, int], int] = {}
-        self._closure: dict[int, frozenset[int]] = {}
+        self._silent: dict[int, list[tuple[int, int]]] = {}
         self._set_ids: dict[frozenset[int], int] = {}
         self._sets: list[frozenset[int]] = []
         self._set_accepting: list[bool] = []
@@ -163,7 +166,7 @@ class Replay:
         self.initial_id = self.intern(self._dense(apn.initial))
         self.final_id = self.intern(self._dense(apn.final))
         self.empty_set_id = self._intern_set(frozenset())
-        self.start_set_id = self._intern_set(self.closure_of(self.initial_id))
+        self.start_set_id = self._intern_set(self._close([self.initial_id]))
 
     # -- markings
 
@@ -209,46 +212,45 @@ class Replay:
             got = self._fired[key] = self.intern(tuple(m))
         return got
 
+    def _silent_pairs(self, mid: int) -> list[tuple[int, int]]:
+        """(transition, next marking) pairs of the enabled silent
+        transitions of mid, in transition order."""
+        pairs = self._silent.get(mid)
+        if pairs is None:
+            labels = self.labels
+            pairs = self._silent[mid] = [(t, self.fire_t(mid, t)) for t in self.enabled_ts(mid)
+                                         if labels[t] is None]
+        return pairs
+
     def successors(self, mid: int):
         """(silent, visible, visible by label) lists of (transition, next
         marking) pairs over the enabled transitions of mid, in transition
-        order."""
+        order; the silent list is the one _silent_pairs caches."""
         entry = self._succ.get(mid)
         if entry is None:
-            silent: list[tuple[int, int]] = []
             visible: list[tuple[int, int]] = []
             by_label: dict[str, list[tuple[int, int]]] = {}
             labels = self.labels
             for t in self.enabled_ts(mid):
-                pair = (t, self.fire_t(mid, t))
                 label = labels[t]
-                if label is None:
-                    silent.append(pair)
-                else:
+                if label is not None:
+                    pair = (t, self.fire_t(mid, t))
                     visible.append(pair)
                     by_label.setdefault(label, []).append(pair)
-            entry = self._succ[mid] = (silent, visible, by_label)
+            entry = self._succ[mid] = (self._silent_pairs(mid), visible, by_label)
         return entry
 
-    def closure_of(self, mid: int) -> frozenset[int]:
-        """All markings reachable from mid by silent firings (mid included)."""
-        cached = self._closure.get(mid)
-        if cached is not None:
-            return cached
-        seen = {mid}
-        queue = deque([mid])
-        labels = self.labels
-        while queue:
-            cur = queue.popleft()
-            for t in self.enabled_ts(cur):
-                if labels[t] is None:
-                    nxt = self.fire_t(cur, t)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-        result = frozenset(seen)
-        self._closure[mid] = result
-        return result
+    def _close(self, mids) -> frozenset[int]:
+        """The given markings and all markings reachable from them by silent
+        firings: one depth-first search with one seen set."""
+        seen = set(mids)
+        stack = list(seen)
+        while stack:
+            for _, nxt in self._silent_pairs(stack.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return frozenset(seen)
 
     # -- marking sets (subset construction over visible steps)
 
@@ -267,13 +269,11 @@ class Replay:
         cached = self._set_step.get(key)
         if cached is not None:
             return cached
-        nxt: set[int] = set()
         labels = self.labels
-        for mid in self._sets[sid]:
-            for t in self.enabled_ts(mid):
-                if labels[t] == activity:
-                    nxt.update(self.closure_of(self.fire_t(mid, t)))
-        out = self._intern_set(frozenset(nxt))
+        fire = self.fire_t
+        images = [fire(mid, t) for mid in self._sets[sid]
+                  for t in self.enabled_ts(mid) if labels[t] == activity]
+        out = self._intern_set(self._close(images))
         self._set_step[key] = out
         return out
 

@@ -135,3 +135,18 @@ def planted_alignment_cases(composition, seed=5, traces=10):
                             model.patterns)
     baseline = tree_to_net(discover_model(log, noise=0.2))
     return log, {"abstraction": model, "expanded": expanded, "baseline": baseline}
+
+
+def align_trace(trace, net):
+    """A trace's complete word aligned against a net; against an
+    abstraction model, on its Replay and with its gap oracle, as
+    abstract_trace aligns it."""
+    from loglift import AbstractionModel, Replay, align_words
+    from loglift.abstraction import _GapOracle
+    from loglift.eventlog import complete_word
+
+    word = complete_word(trace)
+    if isinstance(net, AbstractionModel):
+        rp = Replay(net.net)
+        return align_words(word, net.net, replay=rp, gap_oracle=_GapOracle(net, rp))
+    return align_words(word, net)

@@ -6,14 +6,14 @@ import types
 import pytest
 
 import loglift.abstraction
-from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError,
-                     SearchLimitError, abstract_log, abstract_trace, align,
-                     compose, derive_lifecycle, language_upto, make_lpm,
-                     make_pattern, parse_tree, patterns_from_models,
+from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError, Replay,
+                     SearchLimitError, abstract_log, abstract_trace, compose,
+                     derive_lifecycle, language_upto, leaf, make_lpm,
+                     make_pattern, parse_tree, patterns_from_models, seq,
                      tree_to_net)
 from loglift.abstraction import align_words
-from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, all_words, mk_log,
-                      mk_trace)
+from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, align_trace,
+                      all_words, mk_log, mk_trace)
 
 
 def pattern(text, name="H"):
@@ -124,23 +124,23 @@ def test_pattern_alphabet(n1_model):
 # ---------------------------------------------------------------- alignment
 
 def test_align_golden_cost_vector(n1_model):
-    a = align(mk_trace(GOLDEN), n1_model)
+    a = align_trace(mk_trace(GOLDEN), n1_model)
     assert a.cost_vector == (6, 0, 1)
     assert a.cost == 6
 
 
 def test_align_plain_net_has_no_gap_component(n1_lpm):
-    a = align(["B", "B", "C"], n1_lpm.net)
+    a = align_words(["B", "B", "C"], n1_lpm.net)
     assert a.cost == 0
     assert a.cost_vector == (0, 0, 0)
-    b = align(["B", "X", "C"], n1_lpm.net)
+    b = align_words(["B", "X", "C"], n1_lpm.net)
     assert b.cost == 1
     assert b.cost_vector[1] == 0
 
 
 def test_align_prefers_contiguous_occurrence():
     model = compose([pattern("seq(a,b)")], INTERLEAVING)
-    a = align(list("aab"), model)
+    a = align_trace(list("aab"), model)
     assert a.cost_vector == (1, 0, 0)
     kinds = [(m.kind, m.activity) for m in a.moves if m.kind in ("log", "sync")]
     # the leftover is the first a, the occurrence is contiguous at the end
@@ -148,9 +148,23 @@ def test_align_prefers_contiguous_occurrence():
 
 
 def test_align_empty_trace(n1_model):
-    a = align([], n1_model)
+    a = align_trace([], n1_model)
     assert a.cost == 0
     assert all(m.kind == "tau" for m in a.moves)
+
+
+def test_align_cost_vector_at_the_model_move_radix_edge():
+    # the empty word against a 30-step sequence is 30 visible model moves
+    # over 31 markings; with the Replay's own limit out of the way, 30 is
+    # the smallest state limit the aligner succeeds with (the goal is the
+    # 31st settled state), so the model moves equal the limit and come
+    # within one of the radix the cost vector is packed with
+    net = tree_to_net(seq(*[leaf(f"a{i:02d}") for i in range(30)]))
+    a = align_words([], net, state_limit=30, replay=Replay(net))
+    assert a.cost_vector == (30, 0, 30)
+    assert a.cost == 30
+    with pytest.raises(SearchLimitError, match="during alignment"):
+        align_words([], net, state_limit=29, replay=Replay(net))
 
 
 # -------------------------------------------------------------- abstraction

@@ -6,11 +6,11 @@ from collections import Counter, defaultdict
 import pytest
 
 from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, PatternError,
-                     PetriNet, SearchLimitError, align, compose, evaluate,
+                     PetriNet, SearchLimitError, compose, evaluate,
                      expand_model, f_score, language_upto, make_lpm,
                      make_pattern, parse_tree, tree_to_net)
-from loglift.abstraction import MODEL, SYNC, align_words
-from conftest import mk_log, mk_trace, planted_alignment_cases
+from loglift.abstraction import LOG, MODEL, SYNC, align_words
+from conftest import align_trace, mk_log, mk_trace, planted_alignment_cases
 
 
 def pattern(text, name):
@@ -274,6 +274,20 @@ def test_alignment_moves_golden(composition):
     for name, net in nets.items():
         text = repr([(a.cost_vector, [(m.kind, m.log_index, m.transition, m.activity)
                                       for m in a.moves])
-                     for a in (align(t, net) for t in log)])
+                     for a in (align_trace(t, net) for t in log)])
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == ALIGNMENT_DIGESTS[(composition, name)], name
+
+
+@pytest.mark.parametrize("composition", ["interleaving", "parallel"])
+def test_alignment_cost_vector_counts_its_moves(composition):
+    # the packed cost vector, decoded, must say what the moves say
+    log, nets = planted_alignment_cases(composition)
+    for name, net in nets.items():
+        for trace in log:
+            a = align_trace(trace, net)
+            log_moves = sum(m.kind == LOG for m in a.moves)
+            model_moves = sum(m.kind == MODEL for m in a.moves)
+            assert a.cost_vector[2] == model_moves, (name, trace.case_id)
+            assert a.cost == a.cost_vector[0] == log_moves + model_moves, name
+            assert a.cost_vector[1] <= log_moves, name

@@ -1,36 +1,40 @@
-"""Directly-follows graphs, cut detection, and model rediscovery."""
+"""Discovery from directly-follows graphs: cuts, noise filtering, rediscovery."""
 
 import random
 
 import pytest
 
-from loglift import accepts, build_dfg, discover_model, parse_tree, tree_to_net
+from loglift import accepts, discover_model, parse_tree, tree_to_net
 from loglift.pipeline import sample_word
 from conftest import mk_log
 
 
-def test_build_dfg_counts():
-    g = build_dfg(mk_log(["abc", "abc", "ac"]))
-    assert g.nodes == {"a": 3, "b": 2, "c": 3}
-    assert g.edges == {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 1}
-    assert g.start_counts == {"a": 3}
-    assert g.end_counts == {"c": 3}
+def test_discover_skippable_middle_activity():
+    # a -> b 2, b -> c 2 and a -> c 1: the directly-follows counts make b
+    # optional between a and c
+    tree = discover_model(mk_log(["abc", "abc", "ac"]))
+    assert tree == parse_tree("seq(a,xor(b,tau),c)")
+    apn = tree_to_net(tree)
+    assert accepts(apn, list("abc")) and accepts(apn, list("ac"))
+    assert not accepts(apn, list("acb"))
 
 
-def test_build_dfg_noise_prunes_weak_edges():
+def test_discover_noise_prunes_weak_edges():
     log = mk_log(["ab"] * 9 + ["ac"])
-    g = build_dfg(log, noise=0.2)
-    assert ("a", "b") in g.edges
-    assert ("a", "c") not in g.edges  # 1 < 0.2 * 9
-    # the strongest outgoing edge always survives
-    assert build_dfg(log, noise=0.99).edges == {("a", "b"): 9}
+    assert accepts(tree_to_net(discover_model(log)), list("ac"))
+    for noise in (0.2, 0.99):
+        # a -> c (1 < noise * 9) is pruned, and the strongest outgoing
+        # edge a -> b always survives
+        apn = tree_to_net(discover_model(log, noise=noise))
+        assert accepts(apn, list("ab")), noise
+        assert not accepts(apn, list("ac")), noise
 
 
-def test_build_dfg_noise_validation():
+def test_discover_noise_validation():
     with pytest.raises(ValueError):
-        build_dfg(mk_log(["ab"]), noise=1.0)
+        discover_model(mk_log(["ab"]), noise=1.0)
     with pytest.raises(ValueError):
-        build_dfg(mk_log(["ab"]), noise=-0.1)
+        discover_model(mk_log(["ab"]), noise=-0.1)
 
 
 def test_discover_pinned_examples():

@@ -5,8 +5,8 @@ import datetime
 import pytest
 
 from loglift import (ConfigError, Event, EventLog, LogFormatError, Trace,
-                     load_log, parse_csv, parse_xes, project, save_xes,
-                     write_xes)
+                     load_log, parse_csv, parse_xes, save_xes, write_xes)
+from loglift.eventlog import complete_word
 from conftest import mk_log, mk_trace
 
 
@@ -29,11 +29,12 @@ def test_log_alphabet_and_len():
     assert len(log) == 2
 
 
-def test_project_keeps_subsequence():
-    t = mk_trace("abcabc")
-    p = project(t, {"a", "c"})
-    assert p.activities() == ["a", "c", "a", "c"]
-    assert p.case_id == t.case_id
+def test_complete_word_keeps_complete_subsequence():
+    t = Trace(case_id="c1", events=[Event("a", "start"), Event("a", "complete"),
+                                    Event("b"), Event("c", "start"), Event("a")])
+    assert complete_word(t) == ("a", "b", "a")
+    assert complete_word(["x", "y"]) == ("x", "y")
+    assert complete_word(mk_trace("")) == ()
 
 
 def test_xes_round_trip(tmp_path):
@@ -182,6 +183,27 @@ def test_csv_errors_name_file_lines_after_a_multi_line_field():
     with pytest.raises(LogFormatError, match=r"line 6: case '1' mixes timestamps with "
                                              r"and without a UTC offset.*line 4\)"):
         parse_csv(data, "case", "activity", time_col="ts")
+
+
+def test_csv_bytes_with_cr_and_crlf_line_ends_parse_like_the_file(tmp_path):
+    # bytes and streams split lines as a file opened by path does, so "\r"
+    # and "\r\n" end lines, also inside a quoted field, and line numbers
+    # stay file lines
+    for end in (b"\r", b"\r\n"):
+        data = (b"case,activity,note" + end + b"1,a," + end + b'1,"b' + end + b'x",y'
+                + end + b"2,c," + end)
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            logs = [parse_csv(data, "case", "activity"), parse_csv(fh, "case", "activity"),
+                    parse_csv(str(path), "case", "activity")]
+        for log in logs:
+            assert [t.activities() for t in log] == [["a", "b\nx"], ["c"]], end
+        bad = b"case,activity,note" + end + b'1,a,"x' + end + b'y"' + end + b"1,,z" + end
+        with pytest.raises(LogFormatError, match="line 4: empty 'activity' cell"):
+            parse_csv(bad, "case", "activity")
+    log = parse_csv(b"case,activity\r1,a\r1,b\r", "case", "activity")
+    assert log.traces[0].activities() == ["a", "b"]
 
 
 def test_csv_missing_column_is_an_error(tmp_path):

@@ -29,28 +29,74 @@ def test_enabled_and_fire():
     assert rp.fire_t(m1, t2) == rp.final_id
 
 
+def brute_enabled(rp, m):
+    return [t for t in range(len(rp.transitions)) if all(m[p] >= 1 for p in rp.pre[t])]
+
+
+def brute_fire(rp, m, t):
+    dense = list(m)
+    for p in rp.pre[t]:
+        dense[p] -= 1
+    for p in rp.post[t]:
+        dense[p] += 1
+    return tuple(dense)
+
+
+def brute_closure(rp, m):
+    """Dense markings reachable from m by silent firings, m included."""
+    seen = {m}
+    todo = [m]
+    while todo:
+        cur = todo.pop()
+        for t in brute_enabled(rp, cur):
+            if rp.labels[t] is None:
+                nxt = brute_fire(rp, cur, t)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return seen
+
+
 def check_replay_caches(rp):
-    """enabled_ts and successors of every marking the replay has interned
-    against a brute-force scan over all transitions."""
+    """enabled_ts, successors and the cached silent pairs of every marking
+    the replay has interned, its start set and every set step it has
+    taken, against brute-force scans over all transitions."""
     for mid in range(len(rp._marks)):
         m = rp._marks[mid]
-        enabled = [t for t in range(len(rp.transitions))
-                   if all(m[p] >= 1 for p in rp.pre[t])]
+        enabled = brute_enabled(rp, m)
         assert rp.enabled_ts(mid) == enabled
         pairs = [(t, rp.fire_t(mid, t)) for t in enabled]
         for t, nxt in pairs:
-            dense = list(m)
-            for p in rp.pre[t]:
-                dense[p] -= 1
-            for p in rp.post[t]:
-                dense[p] += 1
-            assert rp._marks[nxt] == tuple(dense)
+            assert rp._marks[nxt] == brute_fire(rp, m, t)
         visible = [(t, n) for t, n in pairs if rp.labels[t] is not None]
         by_label = {}
         for t, n in visible:
             by_label.setdefault(rp.labels[t], []).append((t, n))
         silent = [(t, n) for t, n in pairs if rp.labels[t] is None]
+        if mid in rp._silent:
+            assert rp._silent[mid] == silent
         assert rp.successors(mid) == (silent, visible, by_label)
+        assert rp.successors(mid)[0] is rp._silent[mid]
+
+    def dense_set(sid):
+        return {rp._marks[mid] for mid in rp._sets[sid]}
+
+    assert dense_set(rp.start_set_id) == brute_closure(rp, rp._marks[rp.initial_id])
+    for (sid, activity), out in rp._set_step.items():
+        want = set()
+        for m in dense_set(sid):
+            for t in brute_enabled(rp, m):
+                if rp.labels[t] == activity:
+                    want |= brute_closure(rp, brute_fire(rp, m, t))
+        assert dense_set(out) == want, activity
+
+
+def step_words(rp, words):
+    """Run every prefix of the words through the replay's set steps."""
+    for word in words:
+        sid = rp.start_set_id
+        for a in word:
+            sid = rp.step(sid, a)
 
 
 @pytest.mark.parametrize("composition", ["interleaving", "parallel"])
@@ -65,7 +111,9 @@ def test_replay_caches_match_brute_force_on_aligned_markings(composition):
             rp = Replay(net)
             for trace in log:
                 align_words(complete_word(trace), net, replay=rp)
+        step_words(rp, [complete_word(t) for t in log])
         assert len(rp._marks) > 1, name
+        assert rp._set_step, name
         check_replay_caches(rp)
 
 
@@ -81,8 +129,10 @@ def test_replay_caches_match_brute_force_on_hand_nets():
     for net, initial in ((unguarded, {}), (self_loop, {"p": 1})):
         apn = AcceptingPetriNet(net=net, initial=initial, final={"q": 1})
         rp = Replay(apn)
-        for word in (["a", "b"], ["a", "a", "b"], ["b"], ["c", "a"]):
+        words = (["a", "b"], ["a", "a", "b"], ["b"], ["c", "a"])
+        for word in words:
             align_words(word, apn, replay=rp)
+        step_words(rp, words)
         check_replay_caches(rp)
     rp = Replay(AcceptingPetriNet(net=unguarded, initial={}, final={"q": 1}))
     assert rp.enabled_ts(rp.initial_id) == [rp.transitions.index("gen")]
