@@ -16,6 +16,7 @@ exactly.
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from xml.etree import ElementTree as ET
@@ -96,13 +97,51 @@ def read_xml(source, kind: str):
         raise LogFormatError(f"malformed {kind} at line {line}, column {col}: {exc.msg}") from exc
 
 
+# ElementTree's escapes: (characters to escape, their translation table)
+_TEXT_ESCAPES = (re.compile("[&<>]"),
+                 str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"}))
+_ATTR_ESCAPES = (re.compile('[&<>"\r\n\t]'),
+                 str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                                "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}))
+
+
+def _escape(text: str, escapes) -> str:
+    special, table = escapes
+    # most text has nothing to escape, and a search is cheaper than a translate
+    return text.translate(table) if special.search(text) else text
+
+
 def xml_bytes(root) -> bytes:
-    """Indented UTF-8 serialization with an XML declaration."""
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    buf = io.BytesIO()
-    tree.write(buf, encoding="utf-8", xml_declaration=True)
-    return buf.getvalue()
+    """Indented UTF-8 serialization with an XML declaration.
+
+    Byte for byte what ElementTree.indent followed by ElementTree.write
+    (encoding="utf-8", xml_declaration=True) gives for the elements written
+    here: tags without namespaces, attributes and text, and no tails or
+    comments. The root element is left unchanged.
+    """
+    # one string per element, not a list of its pieces: a document's
+    # small strings would otherwise all be alive at once
+    return ("<?xml version='1.0' encoding='utf-8'?>\n"
+            + _element_text(root, "\n")).encode("utf-8", "xmlcharrefreplace")
+
+
+def _element_text(el, indent: str) -> str:
+    """el serialized; indent is the newline and spaces before el's end tag
+    if el has children, and its children are indented two spaces more."""
+    head = "<" + el.tag
+    for key, value in el.items():
+        head += f' {key}="{_escape(value, _ATTR_ESCAPES)}"'
+    text = el.text
+    if len(el):
+        inner = indent + "  "
+        # like ElementTree.indent, a whitespace-only text becomes the
+        # indentation of the first child
+        first = _escape(text, _TEXT_ESCAPES) if text and text.strip() else inner
+        children = inner.join([_element_text(child, inner) for child in el])
+        return f"{head}>{first}{children}{indent}</{el.tag}>"
+    if text:
+        return f"{head}>{_escape(text, _TEXT_ESCAPES)}</{el.tag}>"
+    return head + " />"
 
 
 # ---------------------------------------------------------------- XES input

@@ -7,13 +7,15 @@ activities and split into accepted runs (gamma segments) and leftover
 noise (lambda segments), maximizing the covered events.
 
 Support is computed by one forward pass per distinct projection over the
-pattern's subset automaton (memoised per pattern). Discovery scores a
-candidate on its shape: the tree with each activity renamed to its rank in
-the sorted activity set, against the trace projections renamed the same
-way. Shapes equal up to renaming share one automaton, built once for the
-tree with its activities named in the order they first appear, which each
-shape walks through its own renaming; candidates over one activity set
-share one projection Counter. A beam round gives every distinct renamed
+pattern's subset automaton (memoised per pattern). Discovery grows and
+scores a candidate as its rank shape: the tree with each activity renamed
+to its rank in the sorted activity set, as nested int tuples, against the
+trace projections renamed the same way. It builds a candidate's
+ProcessTree only once the candidate has scored. Shapes equal up to
+renaming share one automaton, built once for the tree with its activities
+named in the order they first appear, which each shape walks through its
+own renaming; candidates over one activity set share one projection
+Counter. A beam round gives every distinct renamed
 word an int id in one word table, and each shape's forward pass memoises
 word id -> coverage, so a shape walks a word at most once per round
 however many activity sets project onto it. The memo is the shape's own,
@@ -39,6 +41,7 @@ nested same-operator children are flattened, so equal-language duplicates
 produced during search collapse to one canonical form.
 """
 
+import bisect
 import copy
 import heapq
 from collections import Counter
@@ -50,7 +53,12 @@ from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay)
 
 SEQ, XOR, AND, LOOP = "seq", "xor", "and", "loop"
-_OP_RANK = {SEQ: "0", XOR: "1", AND: "2", LOOP: "3"}
+_OPS = (SEQ, XOR, AND, LOOP)
+_CODE = {op: i for i, op in enumerate(_OPS)}
+_OP_RANK = {op: str(i) for i, op in enumerate(_OPS)}
+# A rank shape's leaf (_LEAF, rank) sorts after every operator node
+# (code, *children), as a letter label's sort_key sorts after every "d(".
+_LEAF = len(_OPS)
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,9 @@ def and_(*children: ProcessTree) -> ProcessTree:
 
 def loop(body: ProcessTree, redo: ProcessTree) -> ProcessTree:
     return ProcessTree(op=LOOP, children=(body, redo))
+
+
+_BUILD = (seq, xor, and_, loop)
 
 
 _BARE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:+-.")
@@ -618,9 +629,12 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     abandoned candidate ranks strictly below keep scored ones, so the
     ranking is the one scoring every candidate gives.
 
-    A candidate is scored on its shape: the tree with every activity
-    renamed to its rank in the sorted activity set ("0", "1", ...), over
-    the projections renamed the same way. Renaming is a bijection on both
+    A candidate is grown and scored as its rank shape: the tree with every
+    activity renamed to its rank in the sorted activity set (0, 1, ...),
+    as nested int tuples, over the projections renamed the same way. A
+    beam tree becomes a rank shape once per rank its new activity y can
+    take, and growth rebuilds only the path to the leaf x it replaces.
+    Renaming is a bijection on both
     net and words, so the support is the candidate's own. Shapes equal up
     to renaming share one forward automaton and its Replay: it is built
     for the tree with the k-th distinct activity met among its leaves named
@@ -632,8 +646,8 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     candidate stops stepping its shape's Replay, so the limit can be hit
     only by work that could still rank. Within one
     activity set the renaming is a bijection, so candidates are
-    deduplicated on their shape's text, and the renamed tree is built only
-    for a shape not yet cached.
+    deduplicated on their rank shape, and a ProcessTree is built only for
+    a candidate that keeps its support, a net only for a new automaton.
     Each distinct renamed word gets an int id from a word table shared by
     all activity sets of the round, built with each set's projections and
     their total events. A shape's forward pass memoises word id ->
@@ -672,63 +686,71 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     # order_key is a total order, so keeping only a round's first entries
     # is exact: nothing reads past the first max(beam_width, max_results)
     keep = max(beam_width, max_results)
+    # the six op(x, y) variants of every pair of leaf ranks x != y, in the
+    # order growth tries them, and the leaves "0", "1", ... of the automata
+    span = range(min(max_activities, len(eligible)))
+    variants = {(x, y): _variants((_LEAF, x), (_LEAF, y))
+                for x in span for y in span if x != y}
+    appearance_leaves = [leaf(str(k)) for k in span]
 
     def bounded(beam):
         """The new trees one activity larger than a beam tree, scored, up
         to the first activity set that cannot reach the round's top keep."""
-        # Growth steps per activity set; a step's candidates have exactly
-        # the activities have | {y}, so no tree is grown from two sets.
-        steps: dict[frozenset[str], list[tuple[ProcessTree, str, str]]] = {}
+        # Growth steps per activity set, each a beam tree's rank shape in
+        # that set and the rank p of the activity y it grows by. A step's
+        # candidates have exactly the activities have | {y}, so no tree is
+        # grown from two sets, and the rank shape depends on y only by p.
+        steps: dict[frozenset[str], list[tuple[tuple, int]]] = {}
         for tree, _s in beam:
-            have = tree.activities()
-            for x in sorted(have):
-                for y in eligible:
-                    if y not in have:
-                        steps.setdefault(have | {y}, []).append((tree, x, y))
+            acts = tree.activities()
+            have = sorted(acts)
+            by_p = [_rank_shape(tree, {a: i + (i >= p) for i, a in enumerate(have)})
+                    for p in range(len(have) + 1)]
+            for y in eligible:
+                if y not in acts:
+                    p = bisect.bisect(have, y)
+                    steps.setdefault(acts | {y}, []).append((by_p[p], p))
         by_bound = sorted((-sum(freqs[a] for a in acts), sorted(acts), acts)
                           for acts in steps)
-        shapes: dict[str, _ForwardCoverage] = {}  # rank shape -> its view
-        automata: dict[str, _ForwardCoverage] = {}  # shape up to renaming
-        word_ids: dict[tuple[str, ...], int] = {}  # the round's word table
+        shapes: dict[tuple, _ForwardCoverage] = {}  # rank shape -> its view
+        automata: dict[tuple, _ForwardCoverage] = {}  # shape up to renaming
+        word_ids: dict[tuple[int, ...], int] = {}  # the round's word table
         top: list[int] = []  # min-heap of the best keep supports so far
         for neg_bound, ordered, acts in by_bound:
             if len(top) == keep and -neg_bound < top[0]:
                 return
-            names = {a: str(i) for i, a in enumerate(ordered)}
-            entries, total = _word_entries(_projections(traces_acts, names), word_ids)
-            seen: set[str] = set()
-            for tree, x, y in steps[acts]:
-                lx, ly = leaves[x], leaves[y]
-                for variant in (seq(lx, ly), seq(ly, lx), xor(lx, ly),
-                                and_(lx, ly), loop(lx, ly), loop(ly, lx)):
-                    candidate = _replace_leaf(tree, x, variant)
-                    shape_key = _shape_text(candidate, names)
-                    if shape_key in seen:
+            rank = {a: i for i, a in enumerate(ordered)}
+            entries, total = _word_entries(_projections(traces_acts, rank), word_ids)
+            act_leaves = [leaves[a] for a in ordered]
+            seen: set[tuple] = set()
+            for shape, p in steps[acts]:
+                for x in range(len(ordered)):
+                    if x == p:
                         continue
-                    seen.add(shape_key)
-                    coverage = shapes.get(shape_key)
-                    if coverage is None:
-                        # a candidate's leaves are distinct activities: the
-                        # k-th one met is "k"
-                        order = {t.label: str(i)
-                                 for i, t in enumerate(_walk_leaves(candidate))}
-                        automaton_key = _shape_text(candidate, order)
-                        automaton = automata.get(automaton_key)
-                        if automaton is None:
-                            automaton = automata[automaton_key] = _ForwardCoverage(Replay(
-                                tree_to_net(_relabel(candidate, order)),
-                                state_limit=state_limit))
-                        coverage = shapes[shape_key] = automaton.renamed(
-                            {names[a]: n for a, n in order.items()})
-                    floor = top[0] if len(top) == keep else None
-                    s = _support(entries, total, coverage, floor)
-                    if s is None:
-                        continue
-                    if floor is None:
-                        heapq.heappush(top, s)
-                    elif s > floor:
-                        heapq.heapreplace(top, s)
-                    yield candidate, s
+                    for candidate in _grow(shape, (_LEAF, x), variants[x, p]):
+                        if candidate in seen:
+                            continue
+                        seen.add(candidate)
+                        coverage = shapes.get(candidate)
+                        if coverage is None:
+                            order: dict[int, int] = {}
+                            automaton_key = _by_appearance(candidate, order)
+                            automaton = automata.get(automaton_key)
+                            if automaton is None:
+                                automaton = automata[automaton_key] = _ForwardCoverage(Replay(
+                                    tree_to_net(_tree_of(automaton_key, appearance_leaves)),
+                                    state_limit=state_limit))
+                            coverage = shapes[candidate] = automaton.renamed(
+                                {r: str(k) for r, k in order.items()})
+                        floor = top[0] if len(top) == keep else None
+                        s = _support(entries, total, coverage, floor)
+                        if s is None:
+                            continue
+                        if floor is None:
+                            heapq.heappush(top, s)
+                        elif s > floor:
+                            heapq.heapreplace(top, s)
+                        yield _tree_of(candidate, act_leaves), s
 
     current = sorted(((leaves[a], freqs[a]) for a in eligible), key=order_key)
     ranked = current[:max_results]
@@ -743,28 +765,71 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     return LpmRanking(models=models)
 
 
-def _relabel(tree: ProcessTree, names: dict[str, str]) -> ProcessTree:
-    """The same tree, structure kept as it is, with every label renamed."""
+# Rank shapes: a discovery tree over an activity set with every activity
+# renamed to its rank in the sorted set, as nested int tuples. An operator
+# node is (code, *children) with children flattened and sorted as the tree
+# constructors do, but in tuple order; a leaf is (_LEAF, rank). Shapes are
+# hashed and compared in C, so growth builds them, not ProcessTrees.
+
+def _rank_shape(tree: ProcessTree, rank: dict[str, int]) -> tuple:
+    """The rank shape of a discovery tree, each label named by rank."""
     if tree.op is None:
-        return tree if tree.label is None else ProcessTree(label=names[tree.label])
-    return ProcessTree(op=tree.op, children=tuple(_relabel(c, names) for c in tree.children))
+        return (_LEAF, rank[tree.label])
+    children = [_rank_shape(c, rank) for c in tree.children]
+    if tree.op in (XOR, AND):
+        children.sort()
+    return (_CODE[tree.op], *children)
 
 
-def _shape_text(tree: ProcessTree, names: dict[str, str]) -> str:
-    """_relabel(tree, names).to_text() for names that need no quoting,
-    without building the relabelled tree."""
-    if tree.op is None:
-        return "tau" if tree.label is None else names[tree.label]
-    return tree.op + "(" + ",".join(_shape_text(c, names) for c in tree.children) + ")"
+def _variants(x: tuple, y: tuple) -> tuple[tuple, ...]:
+    """seq(x,y), seq(y,x), xor(x,y), and(x,y), loop(x,y), loop(y,x) as
+    shapes, for two leaves."""
+    lo, hi = sorted((x, y))
+    return ((_CODE[SEQ], x, y), (_CODE[SEQ], y, x), (_CODE[XOR], lo, hi),
+            (_CODE[AND], lo, hi), (_CODE[LOOP], x, y), (_CODE[LOOP], y, x))
 
 
-def _replace_leaf(tree: ProcessTree, label: str, replacement: ProcessTree) -> ProcessTree:
-    if tree.op is None:
-        return replacement if tree.label == label else tree
-    children = tuple(_replace_leaf(c, label, replacement) for c in tree.children)
-    if tree.op == LOOP:
-        return ProcessTree(op=LOOP, children=children)
-    return _operator(tree.op, children, commutative=tree.op in (XOR, AND))
+def _grow(shape: tuple, x: tuple, variants: tuple[tuple, ...]) -> list[tuple] | None:
+    """shape with its leaf x replaced by each of variants in turn, or None
+    when shape has no leaf x. Only the nodes on the path to x are rebuilt:
+    a variant is flattened into a parent of its own operator other than
+    loop, and xor/and children are sorted again."""
+    code = shape[0]
+    if code == _LEAF:
+        return list(variants) if shape == x else None
+    for i in range(1, len(shape)):
+        grown = _grow(shape[i], x, variants)
+        if grown is not None:
+            break
+    else:
+        return None
+    before, after = shape[1:i], shape[i + 1:]
+    flattens = code != _CODE[LOOP]
+    commutative = code in (_CODE[XOR], _CODE[AND])
+    out = []
+    for g in grown:
+        children = (before + g[1:] + after if g[0] == code and flattens
+                    else before + (g,) + after)
+        out.append((code, *sorted(children)) if commutative else (code, *children))
+    return out
+
+
+def _by_appearance(shape: tuple, order: dict[int, int]) -> tuple:
+    """shape with its k-th leaf renamed k, structure kept as it is; order
+    gets each leaf's rank -> k. A discovery tree's leaves are distinct
+    activities, so shapes that differ, node for node, only in their ranks
+    come out equal."""
+    if shape[0] == _LEAF:
+        k = order[shape[1]] = len(order)
+        return (_LEAF, k)
+    return (shape[0], *(_by_appearance(c, order) for c in shape[1:]))
+
+
+def _tree_of(shape: tuple, leaves: list[ProcessTree]) -> ProcessTree:
+    """The canonical ProcessTree of a shape, leaf rank r becoming leaves[r]."""
+    if shape[0] == _LEAF:
+        return leaves[shape[1]]
+    return _BUILD[shape[0]](*(_tree_of(c, leaves) for c in shape[1:]))
 
 
 # -------------------------------------------------------------- diversity

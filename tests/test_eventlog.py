@@ -1,12 +1,18 @@
 """Event log model, XES round-trip, CSV parsing."""
 
+import copy
 import datetime
+import io
+from xml.etree import ElementTree as ET
 
 import pytest
 
+import loglift.eventlog
+import loglift.pnml
 from loglift import (ConfigError, Event, EventLog, LogFormatError, Trace,
-                     load_log, parse_csv, parse_xes, save_xes, write_xes)
-from loglift.eventlog import complete_word
+                     generate_log, load_log, parse_csv, parse_tree, parse_xes,
+                     save_xes, tree_to_net, write_pnml, write_xes)
+from loglift.eventlog import complete_word, xml_bytes
 from conftest import mk_log, mk_trace
 
 
@@ -226,3 +232,61 @@ def test_write_xes_returns_bytes():
     data = write_xes(mk_log(["ab"]))
     assert isinstance(data, bytes)
     assert b"<log" in data
+
+
+# ------------------------------------------------------------ XML writer
+
+def _indent_and_write(root):
+    """The reference xml_bytes matches: ElementTree.indent, then write."""
+    tree = ET.ElementTree(copy.deepcopy(root))
+    ET.indent(tree)
+    buf = io.BytesIO()
+    tree.write(buf, encoding="utf-8", xml_declaration=True)
+    return buf.getvalue()
+
+
+def _odd_elements():
+    odd = "x & y < z > w \" q \r\n\t end"
+    root = ET.Element("root", {"plain": "v", "odd": odd, "empty": ""})
+    ET.SubElement(root, "text").text = "a & b < c > d"
+    ET.SubElement(root, "blank").text = "  \n "
+    ET.SubElement(root, "empty").text = ""
+    ET.SubElement(root, "surrogate", {"value": "lone \ud800 here"}).text = "and \udfff"
+    parent = ET.SubElement(root, "parent", {"k": odd})
+    parent.text = " \n"
+    ET.SubElement(ET.SubElement(parent, "child"), "grandchild", {"k": "\t"})
+    texty = ET.SubElement(root, "texty")
+    texty.text = "kept & escaped"
+    ET.SubElement(texty, "child")
+    return [root, ET.Element("alone"), ET.Element("alone", {"k": "<&>"}),
+            _with_text(ET.Element("alone"), "a & b"), _with_text(ET.Element("alone"), "  ")]
+
+
+def _with_text(el, text):
+    el.text = text
+    return el
+
+
+def test_xml_bytes_matches_indent_and_write(monkeypatch):
+    roots = _odd_elements()
+
+    def capturing(root):
+        roots.append(root)
+        return xml_bytes(root)
+
+    monkeypatch.setattr(loglift.eventlog, "xml_bytes", capturing)
+    monkeypatch.setattr(loglift.pnml, "xml_bytes", capturing)
+    log = generate_log([parse_tree("seq(a,and(b,c))")], instances=2, traces=4,
+                       noise_rate=0.3, seed=5)
+    log.traces.append(Trace(case_id="odd & <case>", events=[
+        Event(activity="b & \"c\"\t\r\n", lifecycle="start",
+              timestamp=datetime.datetime(2024, 1, 2, 3, 4, 5),
+              attributes={"org:resource": "<r>", "note": "\ud800"})]))
+    write_xes(log)
+    apn = tree_to_net(parse_tree("seq('a & b',loop('<c>',tau))"))
+    write_pnml(apn, {t: "tag & <x>" for t in apn.net.transitions})
+    assert len(roots) == 7
+    for root in roots:
+        before = ET.tostring(root)
+        assert xml_bytes(root) == _indent_and_write(root), ET.tostring(root)
+        assert ET.tostring(root) == before

@@ -14,7 +14,8 @@ from loglift import (LocalProcessModel, LogliftError, LpmRanking,
                      jaccard, language_upto, leaf, load_ranking, loop,
                      make_lpm, parse_tree, save_ranking, segment, seq, support,
                      tau, tree_to_net, xor)
-from loglift.lpm import check_lpm_tree
+from loglift.eventlog import complete_word
+from loglift.lpm import ProcessTree, check_lpm_tree
 from loglift.petrinet import Replay
 from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, all_words,
                       mk_log, mk_trace)
@@ -249,6 +250,13 @@ def test_discover_lpms_renamings_of_one_shape_keep_their_own_supports(monkeypatc
         assert support(log, model) == model.support, model
 
 
+def _relabel(tree, names):
+    """The same tree, structure kept as it is, with every label renamed."""
+    if tree.op is None:
+        return tree if tree.label is None else ProcessTree(label=names[tree.label])
+    return ProcessTree(op=tree.op, children=tuple(_relabel(c, names) for c in tree.children))
+
+
 @pytest.mark.parametrize("text", ["seq(a,xor(b,c))", "and(a,loop(b,c))",
                                   "loop(seq(a,b),xor(c,d))", "xor(seq(a,b),and(c,d))",
                                   "seq(and(a,loop(b,c)),d)", "loop(and(a,b),seq(c,xor(d,tau)))"])
@@ -263,11 +271,105 @@ def test_renamed_view_matches_the_renamed_net(text):
         pi = dict(zip(acts, perm))
         view = shared.renamed({new: old for old, new in pi.items()})
         own = loglift.lpm._ForwardCoverage(
-            Replay(tree_to_net(loglift.lpm._relabel(tree, pi))))
+            Replay(tree_to_net(_relabel(tree, pi))))
         cases.append((view, own))
     for word in all_words(acts, 5):
         for view, own in cases:
             assert view(word) == own(word), (text, word)
+
+
+def _replace_leaf(tree, label, replacement):
+    if tree.op is None:
+        return replacement if tree.label == label else tree
+    children = [_replace_leaf(c, label, replacement) for c in tree.children]
+    return {"seq": seq, "xor": xor, "and": and_, "loop": loop}[tree.op](*children)
+
+
+def _every_candidate_ranked(log, max_activities):
+    """What discover_lpms returns when nothing is cut: every tree it can
+    grow, grown with the tree constructors, each scored alone by support(),
+    as (tree text, support, rank)."""
+    freqs = Counter(a for t in log for a in complete_word(t))
+    level = [leaf(a) for a in sorted(freqs)]
+    scored = [(t, freqs[t.label]) for t in level]
+    for _size in range(2, max_activities + 1):
+        grown = {}
+        for tree in level:
+            have = tree.activities()
+            for x in sorted(have):
+                for y in sorted(freqs.keys() - have):
+                    lx, ly = leaf(x), leaf(y)
+                    for variant in (seq(lx, ly), seq(ly, lx), xor(lx, ly),
+                                    and_(lx, ly), loop(lx, ly), loop(ly, lx)):
+                        grown.setdefault(_replace_leaf(tree, x, variant), None)
+        level = list(grown)
+        scored += [(t, support(log, make_lpm(t))) for t in level]
+    scored.sort(key=lambda e: (-e[1], len(e[0].activities()), e[0].node_count(),
+                               e[0].sort_key()))
+    return [(t.to_text(), s, i) for i, (t, s) in enumerate(scored, start=1)]
+
+
+def test_discover_lpms_grows_every_candidate_the_constructors_grow(monkeypatch):
+    # labels whose sort_key order is unlike letters': "0x" sorts before an
+    # xor node's "1(", "10" between the xor and the and nodes' "1(" and
+    # "2(", "a b" before "a" inside a node; "x,y" holds a separator
+    built = []
+    tree_of = loglift.lpm._tree_of
+
+    def recording(shape, leaves):
+        tree = tree_of(shape, leaves)
+        built.append((shape, {t.label: r for r, t in enumerate(leaves)}, tree))
+        return tree
+
+    monkeypatch.setattr(loglift.lpm, "_tree_of", recording)
+    labels = ["B", "a b", "0x", "10", "9", "x,y"]
+    rng = random.Random(7)
+    words = [[rng.choice(labels) for _ in range(rng.randint(2, 6))] for _ in range(12)]
+    words += [["0x", "a b", "10"], ["0x", "10", "a b"], ["9", "x,y", "9"]] * 3
+    four = ["0x", "10", "a b", "9"]
+    for log, max_activities in ((mk_log(words), 3),
+                                (mk_log([[a for a in w if a in four] for w in words]), 4)):
+        ranking = discover_lpms(log, max_activities=max_activities,
+                                beam_width=10**6, max_results=10**6)
+        assert ([(t.to_text(), s, r) for t, s, r in _ranked(ranking)]
+                == _every_candidate_ranked(log, max_activities))
+    # a beam tree's rank shape is the shape growth builds for it, whose
+    # xor/and children are in tuple order, not in sort_key's
+    assert built
+    for shape, rank, tree in built:
+        assert loglift.lpm._rank_shape(tree, rank) == shape, tree
+
+
+def test_discover_lpms_builds_a_tree_only_for_a_candidate_it_keeps(monkeypatch):
+    # growth dedups and scores candidates without building them; a
+    # ProcessTree is built for a candidate once _support has returned its
+    # support, and for no other
+    built = []
+
+    class CountingTree(ProcessTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    kept = []
+    scored = loglift.lpm._support
+
+    def counting(*args):
+        s = scored(*args)
+        if s is not None:
+            kept.append(s)
+        return s
+
+    log = _planted_log(traces=10, instances=2, seed=11)
+    monkeypatch.setattr(loglift.lpm, "ProcessTree", CountingTree)
+    monkeypatch.setattr(loglift.lpm, "_support", counting)
+    discover_lpms(log)
+    children = {id(c) for t in built for c in t.children}
+    # roots over the log's activities; the automata's trees are over "0", "1", ...
+    candidates = [t for t in built if t.op is not None and id(t) not in children
+                  and t.activities() <= log.alphabet()]
+    assert kept
+    assert len(candidates) == len(kept)
 
 
 # sha256 of index.tsv (rank, support, diversity, activities, tree) of one
