@@ -21,8 +21,7 @@ from .lpm import (LocalProcessModel, LpmRanking, ProcessTree, Segmentation,
                   leaf, load_ranking, loop, make_lpm, parse_tree, save_ranking,
                   segment, seq, support, tau, tree_to_net, xor)
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, Marking,
-                       PetriNet, Replay, accepts, language_upto,
-                       min_visible_run_length)
+                       PetriNet, Replay, accepts, language_upto)
 from .pipeline import (PipelineConfig, PipelineResult, generate_log,
                        load_input, run_pipeline, run_stages, run_sweep,
                        sample_word, sweep_csv, write_artifacts)
@@ -43,7 +42,7 @@ __all__ = [
     "discover_model", "diversity", "evaluate", "expand_model", "f_score",
     "filter_diverse", "generate_log", "jaccard", "language_upto",
     "leaf", "load_input", "load_log", "load_ranking", "loop", "make_lpm",
-    "make_pattern", "min_visible_run_length", "parse_csv", "parse_pnml",
+    "make_pattern", "parse_csv", "parse_pnml",
     "parse_tree", "parse_xes", "patterns_from_models",
     "run_pipeline", "run_stages", "run_sweep", "sample_word", "save_pnml",
     "save_ranking", "save_xes", "segment", "seq", "support", "sweep_csv", "tau", "tree_to_net", "write_artifacts", "write_pnml",

@@ -27,7 +27,7 @@ last synchronous move.
 import heapq
 from dataclasses import dataclass, field
 
-from .errors import PatternError, SearchLimitError
+from .errors import LogliftError, PatternError, SearchLimitError
 from .eventlog import COMPLETE, START, Event, EventLog, Trace
 from .lpm import LocalProcessModel, ProcessTree
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
@@ -35,6 +35,7 @@ from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
 
 INTERLEAVING = "interleaving"
 PARALLEL = "parallel"
+COMPOSITIONS = (INTERLEAVING, PARALLEL)
 
 SYNC = "sync"
 LOG = "log"
@@ -144,7 +145,7 @@ def compose(patterns: list[ActivityPattern], composition: str = INTERLEAVING) ->
     names = [p.name for p in patterns]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate pattern names: {names}")
-    if composition not in (INTERLEAVING, PARALLEL):
+    if composition not in COMPOSITIONS:
         raise ValueError(f"unknown composition {composition!r}")
 
     host = PetriNet(places={"src", "snk"}, transitions={"begin", "end"},
@@ -218,7 +219,10 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
     concurrent net from expanding every interleaving of its silent moves
     breadth-first. gap_oracle maps a marking id to the activities whose
     log move counts as a gap move there (none without an oracle, as for
-    plain nets).
+    plain nets). A log move is always possible, so the search ends without
+    an alignment only when the final marking is unreachable: that raises
+    LogliftError, while hitting state_limit raises SearchLimitError. The
+    empty word's alignment costs the net's shortest visible run.
 
     A state (log position, marking) is the int marking * (n + 1) +
     position; its moves come from the replay's cached successors of the
@@ -321,7 +325,8 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
                     heappush(heap, (key, counter, nxt))
 
     if goal not in settled:
-        raise SearchLimitError("alignment search exhausted without reaching the final marking")
+        # every reachable state was settled within the limit: a definite no
+        raise LogliftError("final marking is not reachable from the initial marking")
     moves: list[AlignmentMove] = []
     state = goal
     while state != start:

@@ -13,12 +13,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .abstraction import INTERLEAVING, PARALLEL, abstract_log, compose, patterns_from_models
+from .abstraction import COMPOSITIONS, abstract_log, compose, patterns_from_models
 from .conformance import evaluate, expand_model
 from .discovery import discover_model
 from .errors import ConfigError, LogliftError, StageError
 from .eventlog import save_xes
-from .lpm import filter_diverse, load_ranking, parse_tree, save_ranking, tree_to_net
+from .lpm import ORDERS, filter_diverse, load_ranking, parse_tree, save_ranking, tree_to_net
 from .pipeline import (PipelineConfig, generate_log, load_input, run_pipeline,
                        run_sweep, sweep_csv, _stage)
 from .pnml import parse_pnml, save_pnml
@@ -247,8 +247,7 @@ def build_parser() -> _Parser:
         p.add_argument("--k", type=int, default=S, help="patterns to keep")
         p.add_argument("--t-div", dest="t_div", type=float, default=S,
                        help="diversity threshold in [0, 1]")
-        p.add_argument("--order", choices=["topk_then_filter", "filter_then_topk"],
-                       default=S)
+        p.add_argument("--order", choices=ORDERS, default=S)
 
     def beam(p):
         p.add_argument("--max-activities", dest="max_activities", type=int, default=S)
@@ -267,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="abstracted log (.xes)")
     p.add_argument("--model-out", dest="model_out", default=S,
                    help="also write the composed abstraction model (.pnml)")
-    p.add_argument("--composition", choices=[INTERLEAVING, PARALLEL], default=S)
+    p.add_argument("--composition", choices=COMPOSITIONS, default=S)
     p.add_argument("--keep-foreign", dest="keep_foreign", action="store_true", default=S)
     p.set_defaults(func=cmd_abstract)
 
@@ -289,7 +288,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="full run: discover, filter, abstract, score")
     common(p); log_input(p); selection(p); beam(p)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--composition", choices=[INTERLEAVING, PARALLEL], default=S)
+    p.add_argument("--composition", choices=COMPOSITIONS, default=S)
     p.add_argument("--keep-foreign", dest="keep_foreign", action="store_true", default=S)
     p.add_argument("--noise", type=float, default=S)
     p.set_defaults(func=cmd_pipeline)
@@ -303,8 +302,7 @@ def build_parser() -> _Parser:
                    help="comma-separated pattern counts (default 1..5)")
     p.add_argument("--compositions", dest="compositions", default=S,
                    help="comma-separated compositions (default both)")
-    p.add_argument("--order", choices=["topk_then_filter", "filter_then_topk"],
-                   default=S)
+    p.add_argument("--order", choices=ORDERS, default=S)
     p.add_argument("--keep-foreign", dest="keep_foreign", action="store_true", default=S)
     p.add_argument("--noise", type=float, default=S)
     p.set_defaults(func=cmd_sweep)
@@ -317,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", type=int, default=S)
     p.add_argument("--traces", type=int, default=S)
     p.add_argument("--noise-rate", dest="noise_rate", type=float, default=S)
-    p.add_argument("--composition", choices=[INTERLEAVING, PARALLEL], default=S)
+    p.add_argument("--composition", choices=COMPOSITIONS, default=S)
     p.add_argument("--seed", type=int, default=S)
     p.set_defaults(func=cmd_generate)
 

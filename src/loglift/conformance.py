@@ -5,15 +5,16 @@ into a fresh copy of that pattern's net, so the expanded model speaks the
 low-level alphabet again and can be scored against the original log.
 
 Fitness is alignment-based: per trace 1 - cost / (|trace| + shortest
-visible run of the net), averaged over the log. Precision is escaping
-edges over the prefix automaton of the aligned visible model runs (the
-labels of synchronous and model moves): at every visited prefix, visible
-labels the model enables but the log never takes there count against it.
-The model's enabled labels at a prefix are those of every marking the
-prefix can reach, silent moves included (Replay's marking set for that
-prefix), not of the one marking a chosen alignment passes through, so
-precision does not depend on the order the aligner fires silent
-transitions in (the language view of Munoz-Gama & Carmona, BPM 2010).
+visible run of the net), averaged over the log. The shortest visible run
+is the cost of aligning the empty word. Precision is escaping edges over
+the prefix automaton of the aligned visible model runs (the labels of
+synchronous and model moves): at every visited prefix, visible labels the
+model enables but the log never takes there count against it. The
+model's enabled labels at a prefix are those of every marking the prefix
+can reach, silent moves included (Replay's marking set for that prefix),
+not of the one marking a chosen alignment passes through, so precision
+does not depend on the order the aligner fires silent transitions in (the
+language view of Munoz-Gama & Carmona, BPM 2010).
 """
 
 from collections import Counter
@@ -23,7 +24,7 @@ from .abstraction import MODEL, SYNC, align_words
 from .errors import SearchLimitError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
-                       Replay, min_visible_run_length, splice)
+                       Replay, splice)
 
 
 @dataclass
@@ -74,17 +75,18 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
     """Fitness, precision, and F-score in one pass (alignments are shared).
 
-    One Replay of the net serves the shortest-run search, every alignment
-    and the precision marking sets, so state_limit bounds the markings of
-    that one shared Replay (as well as the states of each alignment). A
-    SearchLimitError from aligning a word names the first case with it.
+    One Replay of the net serves every alignment, the empty word's for the
+    shortest visible run among them, and the precision marking sets, so
+    state_limit bounds the markings of that one shared Replay (as well as
+    the states of each alignment). A SearchLimitError from aligning a
+    trace's word names the first case with it.
     """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
     rp = Replay(net, state_limit=state_limit)
-    minlen = min_visible_run_length(net, replay=rp)
+    minlen = align_words((), net, state_limit=state_limit, replay=rp).cost
 
     # prefix automaton of aligned visible model runs: a state per distinct
     # visible prefix, holding the Replay set of markings that prefix

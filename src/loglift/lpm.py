@@ -32,8 +32,10 @@ events its projections have left uncovered show that it cannot reach the
 floor. A dropped candidate stops stepping its shape's Replay, so
 state_limit, which bounds the markings of the Replay all renamings of a
 shape share, can be hit only by work that could still rank. segment()
-computes the split itself with the quadratic scan; it is the exact
-reference the forward pass is tested against.
+gets the split from the same forward pass, run backwards: over the
+reversed projection on the reversed net, its running totals are the best
+coverage of every suffix, and a forward walk from each position picks the
+run that keeps that optimum.
 
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
@@ -44,6 +46,7 @@ produced during search collapse to one canonical form.
 import bisect
 import copy
 import heapq
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -397,40 +400,6 @@ class Segmentation:
         return sum(e - s for s, e in self.gammas)
 
 
-def _accepted_ends(projected: list[str], rp: Replay) -> list[list[int]]:
-    """ends[i] = all j with projected[i:j] accepted, ascending; empty runs excluded."""
-    m = len(projected)
-    ends: list[list[int]] = []
-    start_sid = rp.start_set_id
-    dead = rp.empty_set_id
-    step = rp.step
-    accepting = rp._set_accepting
-    for i in range(m):
-        out = []
-        sid = start_sid
-        for j in range(i, m):
-            sid = step(sid, projected[j])
-            if sid == dead:
-                break
-            if accepting[sid]:
-                out.append(j + 1)
-        ends.append(out)
-    return ends
-
-
-def _coverage_dp(ends: list[list[int]], m: int) -> list[int]:
-    """best[p] = max events coverable by accepted runs within projected[p:]."""
-    best = [0] * (m + 1)
-    for p in range(m - 1, -1, -1):
-        b = best[p + 1]
-        for j in ends[p]:
-            v = (j - p) + best[j]
-            if v > b:
-                b = v
-        best[p] = b
-    return best
-
-
 class _ForwardCoverage:
     """Best coverage of projected words by one forward pass each.
 
@@ -442,8 +411,8 @@ class _ForwardCoverage:
     entries meeting in one subset merge by max. That state is interned, and
     (state, activity) -> (next state, coverage gain) is memoised, so a word
     costs one dict lookup per event once its transitions are known. Only
-    new transitions call Replay.step, on the same (subset, activity) pairs
-    segment's quadratic scan steps, so both hit the state limit alike.
+    new transitions call Replay.step. The total after j events is the best
+    coverage of the word's first j events; running() returns every one.
 
     Nets equal up to renaming share one automaton: renamed(rename) gives a
     view that shares this Replay, its interned states and its moves, and
@@ -486,6 +455,22 @@ class _ForwardCoverage:
             state, gain = hit
             total += gain
         return total
+
+    def running(self, projected) -> list[int]:
+        """The coverage of every prefix of projected, the empty one first:
+        the totals __call__ passes through."""
+        moves = self._moves
+        rename = self._rename
+        state = 0
+        totals = [0]
+        for a in projected:
+            a = rename[a]
+            hit = moves[state].get(a)
+            if hit is None:
+                hit = self._advance(state, a)
+            state, gain = hit
+            totals.append(totals[-1] + gain)
+        return totals
 
     def _advance(self, state: int, activity: str) -> tuple[int, int]:
         rp = self._rp
@@ -557,6 +542,28 @@ def _support(entries, total: int, coverage: _ForwardCoverage,
     return total - lost
 
 
+# segment()'s backward pass for each Replay it is given, built once
+# however many words that Replay segments
+_BACKWARD: "weakref.WeakKeyDictionary[Replay, _ForwardCoverage]" = weakref.WeakKeyDictionary()
+
+
+def _backward(rp: Replay, apn: AcceptingPetriNet) -> _ForwardCoverage:
+    """The forward pass over apn reversed, for rp, a Replay of apn. The
+    reversed net turns every arc round and swaps the initial and final
+    markings, so it accepts exactly the reversed words. Its Replay has
+    rp's state limit."""
+    coverage = _BACKWARD.get(rp)
+    if coverage is None:
+        net = apn.net
+        reversed_net = AcceptingPetriNet(
+            net=PetriNet(places=net.places, transitions=net.transitions,
+                         arcs={(b, a) for a, b in net.arcs}, labels=net.labels),
+            initial=apn.final, final=apn.initial)
+        coverage = _BACKWARD[rp] = _ForwardCoverage(
+            Replay(reversed_net, state_limit=rp.state_limit))
+    return coverage
+
+
 def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMIT,
             replay: Replay | None = None) -> Segmentation:
     """Split a trace (projected onto the model's activities) into accepted
@@ -564,26 +571,34 @@ def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMI
 
     Among maximal splits, runs start as early as possible (a run is always
     preferred over skipping at the same position, shortest first).
+
+    best[p], the most events runs can cover in the projection from p on,
+    is the forward coverage pass's running total over the reversed
+    projection on the reversed net. From each position p, a walk on the
+    replay takes the shortest accepted run to a j with (j - p) + best[j]
+    == best[p], if there is one.
     """
     rp = replay if replay is not None else Replay(lpm.net, state_limit=state_limit)
     acts = lpm.activities
     projected = [a for a in complete_word(trace) if a in acts]
-    m = len(projected)
-    ends = _accepted_ends(projected, rp)
-    best = _coverage_dp(ends, m)
+    best = _backward(rp, lpm.net).running(reversed(projected))[::-1]
+    start, dead, step, accepting = (rp.start_set_id, rp.empty_set_id, rp.step,
+                                    rp._set_accepting)
     gammas: list[tuple[int, int]] = []
     p = 0
-    while p < m:
-        taken = None
-        for j in ends[p]:
-            if (j - p) + best[j] == best[p]:
-                taken = j
+    while p < len(projected):
+        end = p + 1  # skip p unless a run from it keeps the optimum
+        sid = start
+        # such a run covers best[p] - best[j] events, so at most best[p]
+        for j in range(p + 1, p + best[p] + 1):
+            sid = step(sid, projected[j - 1])
+            if sid == dead:
                 break
-        if taken is None:
-            p += 1
-        else:
-            gammas.append((p, taken))
-            p = taken
+            if accepting[sid] and (j - p) + best[j] == best[p]:
+                gammas.append((p, j))
+                end = j
+                break
+        p = end
     return Segmentation(projected=projected, gammas=gammas)
 
 
@@ -592,7 +607,7 @@ def support(log: EventLog, lpm: LocalProcessModel,
     """Total events covered by accepted runs, summed over the whole log.
 
     One forward pass per distinct projection over the pattern's subset
-    automaton; segment() is the exact reference it is tested against.
+    automaton, the pass that segment() runs backwards.
     """
     entries, total = _word_entries(_projections((complete_word(t) for t in log),
                                                 {a: a for a in lpm.activities}), {})
@@ -834,6 +849,10 @@ def _tree_of(shape: tuple, leaves: list[ProcessTree]) -> ProcessTree:
 
 # -------------------------------------------------------------- diversity
 
+# the orders filter_diverse can apply its cut and its filter in
+ORDERS = ("topk_then_filter", "filter_then_topk")
+
+
 def jaccard(a: frozenset, b: frozenset) -> float:
     if not a and not b:
         return 1.0
@@ -861,7 +880,7 @@ def filter_diverse(ranking: LpmRanking, t_div: float, k: int | None = None,
     """
     if not 0.0 <= t_div <= 1.0:
         raise ValueError(f"t_div must be in [0, 1], got {t_div}")
-    if order not in ("topk_then_filter", "filter_then_topk"):
+    if order not in ORDERS:
         raise ValueError(f"unknown filter order {order!r}")
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -11,11 +11,10 @@ Nets are treated as immutable after construction; splice builds one by
 copying sub-nets into a host net still under construction.
 """
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import LogliftError, PatternError, SearchLimitError
+from .errors import PatternError, SearchLimitError
 
 DEFAULT_STATE_LIMIT = 100_000
 
@@ -339,29 +338,3 @@ def language_upto(apn: AcceptingPetriNet, max_visible_len: int,
                 queue.append(new)
     return out
 
-
-def min_visible_run_length(apn: AcceptingPetriNet,
-                           state_limit: int = DEFAULT_STATE_LIMIT,
-                           replay: Replay | None = None) -> int:
-    """Length of the shortest accepted word (silent firings are free).
-
-    Given a replay of the net, the search runs on it and shares its caches
-    and its state limit.
-    """
-    rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
-    dist = {rp.initial_id: 0}
-    heap = [(0, rp.initial_id)]
-    while heap:
-        d, mid = heapq.heappop(heap)
-        if mid == rp.final_id:
-            return d
-        if d > dist.get(mid, float("inf")):
-            continue
-        for t in rp.enabled_ts(mid):
-            cost = 0 if rp.labels[t] is None else 1
-            nxt = rp.fire_t(mid, t)
-            nd = d + cost
-            if nd < dist.get(nxt, float("inf")):
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
-    raise LogliftError("final marking is not reachable from the initial marking")

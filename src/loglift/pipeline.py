@@ -13,20 +13,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .abstraction import (INTERLEAVING, PARALLEL, AbstractionModel,
+from .abstraction import (COMPOSITIONS, INTERLEAVING, AbstractionModel,
                           abstract_log, compose, patterns_from_models)
 from .conformance import QualityReport, evaluate, expand_model
 from .discovery import discover_model
 from .errors import ConfigError, LogliftError, StageError
 from .eventlog import COMPLETE, Event, EventLog, Trace, load_log, save_xes
-from .lpm import (AND, SEQ, XOR, LocalProcessModel, LpmRanking, ProcessTree,
-                  discover_lpms, filter_diverse, save_ranking, tree_to_net)
+from .lpm import (AND, ORDERS, SEQ, XOR, LocalProcessModel, LpmRanking,
+                  ProcessTree, discover_lpms, filter_diverse, save_ranking,
+                  tree_to_net)
 from .petrinet import DEFAULT_STATE_LIMIT, AcceptingPetriNet
 from .pnml import save_pnml
 
 SWEEP_T_DIVS = [round(0.2 + 0.1 * i, 1) for i in range(8)]
 SWEEP_KS = [1, 2, 3, 4, 5]
-SWEEP_COMPOSITIONS = [INTERLEAVING, PARALLEL]
 
 
 def _io(default=None):
@@ -69,9 +69,9 @@ class PipelineConfig:
             raise ConfigError(f"noise must be in [0, 1), got {self.noise}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.composition not in (INTERLEAVING, PARALLEL):
+        if self.composition not in COMPOSITIONS:
             raise ConfigError(f"unknown composition {self.composition!r}")
-        if self.order not in ("topk_then_filter", "filter_then_topk"):
+        if self.order not in ORDERS:
             raise ConfigError(f"unknown order {self.order!r}")
         for name in ("max_activities", "beam_width", "max_results", "state_limit"):
             if getattr(self, name) < 1:
@@ -219,7 +219,7 @@ def run_sweep(log: EventLog, config: PipelineConfig,
     once, and cells resolving to the same pattern selection share results."""
     t_divs = SWEEP_T_DIVS if t_divs is None else list(t_divs)
     ks = SWEEP_KS if ks is None else list(ks)
-    compositions = SWEEP_COMPOSITIONS if compositions is None else list(compositions)
+    compositions = list(COMPOSITIONS if compositions is None else compositions)
     config.validate()
 
     shared_error: str | None = None
@@ -343,7 +343,7 @@ def generate_log(patterns: list[ProcessTree], instances: int, traces: int,
         raise ConfigError("instances and traces must be >= 0")
     if not 0 <= noise_rate < 1:
         raise ConfigError(f"noise_rate must be in [0, 1), got {noise_rate}")
-    if composition not in (INTERLEAVING, PARALLEL):
+    if composition not in COMPOSITIONS:
         raise ConfigError(f"unknown composition {composition!r}")
     used: set[str] = set()
     for tree in patterns:

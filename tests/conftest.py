@@ -116,6 +116,25 @@ def coverage_oracle(projected, language):
     return best[0]
 
 
+def split_oracle(projected, language):
+    """The runs segment() must choose, by brute force over the language:
+    among the splits covering the most events, the one whose list of
+    (start, end) runs is smallest, so runs start as early as possible,
+    shortest first."""
+    n = len(projected)
+    word = tuple(projected)
+    # preferred[p] = (-covered events, runs) of the chosen split of word[p:]
+    preferred = [(0, [])] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        options = [preferred[p + 1]]
+        for j in range(p + 1, n + 1):
+            if word[p:j] in language:
+                lost, runs = preferred[j]
+                options.append((lost - (j - p), [(p, j)] + runs))
+        preferred[p] = min(options)
+    return preferred[0][1]
+
+
 PLANTED = ("seq(a,b,c)", "and(d,e)", "loop(f,g)")
 
 

@@ -153,6 +153,13 @@ def test_align_empty_trace(n1_model):
     assert all(m.kind == "tau" for m in a.moves)
 
 
+def test_align_empty_word_costs_the_shortest_run():
+    # evaluate's shortest visible run: silent firings are free
+    assert align_words((), tree_to_net(parse_tree(N1_TEXT))).cost == 2
+    assert align_words((), tree_to_net(parse_tree("xor(a,tau)"))).cost == 0
+    assert align_words((), tree_to_net(parse_tree("and(a,b,c)"))).cost == 3
+
+
 def test_align_cost_vector_at_the_model_move_radix_edge():
     # the empty word against a 30-step sequence is 30 visible model moves
     # over 31 markings; with the Replay's own limit out of the way, 30 is

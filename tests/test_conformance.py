@@ -5,10 +5,12 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, PatternError,
-                     PetriNet, SearchLimitError, compose, evaluate,
-                     expand_model, f_score, language_upto, make_lpm,
-                     make_pattern, parse_tree, tree_to_net)
+from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, LogliftError,
+                     PatternError, PetriNet, SearchLimitError, compose,
+                     evaluate, expand_model, f_score, language_upto, make_lpm,
+                     make_pattern, parse_tree, save_pnml, save_xes,
+                     tree_to_net)
+from loglift.cli import main
 from loglift.abstraction import LOG, MODEL, SYNC, align_words
 from conftest import align_trace, mk_log, mk_trace, planted_alignment_cases
 
@@ -246,6 +248,25 @@ def test_evaluate_search_limit_names_first_case_of_word():
                            mk_trace("aabbcc", case_id="long-8")])
     with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
         evaluate(log, apn, state_limit=20)
+
+
+def test_unreachable_final_marking_is_a_no_not_a_search_limit(tmp_path, capsys):
+    # the final marking {q, r} is unreachable: a search that settles every
+    # reachable state within the limit answers "no", not "could not decide"
+    net = PetriNet(places={"p", "q", "r"}, transitions={"t"},
+                   arcs={("p", "t"), ("t", "q")}, labels={"t": "a"})
+    apn = AcceptingPetriNet(net=net, initial={"p": 1}, final={"q": 1, "r": 1})
+    log = mk_log(["a"])
+    for run in (lambda: align_words(["a"], apn), lambda: evaluate(log, apn)):
+        with pytest.raises(LogliftError, match="not reachable") as err:
+            run()
+        assert not isinstance(err.value, SearchLimitError)
+    model, log_path = tmp_path / "m.pnml", tmp_path / "log.xes"
+    save_pnml(apn, str(model))
+    save_xes(log, str(log_path))
+    assert main(["evaluate", "--input", str(log_path), "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "[evaluate]" in err and "not reachable" in err, err
 
 
 # sha256 of every (cost vector, moves) of the alignments of one seeded noisy

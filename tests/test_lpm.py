@@ -18,7 +18,7 @@ from loglift.eventlog import complete_word
 from loglift.lpm import ProcessTree, check_lpm_tree
 from loglift.petrinet import Replay
 from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, all_words,
-                      mk_log, mk_trace)
+                      enumerate_pattern_trees, mk_log, mk_trace, split_oracle)
 
 
 # ----------------------------------------------------------------- trees
@@ -126,6 +126,29 @@ def test_segment_gammas_are_accepted_and_disjoint(n1_lpm):
             assert tuple(s.projected[start:end]) in lang
 
 
+def test_segment_gammas_match_the_split_oracle(n1_lpm):
+    # where the runs fall, not only how many events they cover: every
+    # criterion-4 tree on every word of up to 5 letters, and N1 on long
+    # random words
+    words = all_words(("a", "b", "c"), 5)
+    for tree in enumerate_pattern_trees(budget=5, alphabet=("a", "b", "c"),
+                                        max_activities=3):
+        lpm = make_lpm(tree, max_activities=3)
+        rp = Replay(lpm.net)
+        lang = language_upto(lpm.net, 5)
+        for word in words:
+            projected = [a for a in word if a in lpm.activities]
+            assert (segment(list(word), lpm, replay=rp).gammas
+                    == split_oracle(projected, lang)), (tree, word)
+    rng = random.Random(14)
+    rp = Replay(n1_lpm.net)
+    lang = language_upto(n1_lpm.net, 60)
+    for _ in range(200):
+        word = [rng.choice("ABCX") for _ in range(rng.randrange(20, 61))]
+        projected = [a for a in word if a != "X"]
+        assert segment(word, n1_lpm, replay=rp).gammas == split_oracle(projected, lang), word
+
+
 def test_support_counts_covered_events(n1_lpm):
     log = mk_log([GOLDEN, "AC", "XY"])
     assert support(log, n1_lpm) == 7 + 2 + 0
@@ -178,7 +201,7 @@ def _planted_log(traces, instances, seed):
 def test_discover_lpms_support_matches_per_net_scoring():
     # candidates are scored on automata shared per shape; every returned
     # support must equal the model's own net scored alone, by the forward
-    # pass and by segment's quadratic scan
+    # pass and by segment's pass over the reversed net
     log = _planted_log(traces=6, instances=1, seed=3)
     ranking = discover_lpms(log, max_activities=4, beam_width=10, max_results=10**6)
     assert {len(m.activities) for m in ranking} == {1, 2, 3, 4}

@@ -4,7 +4,7 @@ import pytest
 
 from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
                      abstract_trace, accepts, align_words, language_upto,
-                     make_lpm, min_visible_run_length, parse_pnml, parse_tree,
+                     make_lpm, parse_pnml, parse_tree,
                      save_pnml, tree_to_net, write_pnml)
 from loglift.eventlog import complete_word
 from conftest import N1_TEXT, planted_alignment_cases
@@ -173,12 +173,6 @@ def test_language_upto_n1():
     lang = language_upto(apn, 4)
     assert lang == {("A", "C"), ("B", "C"), ("B", "B", "C"),
                     ("B", "B", "B", "C")}
-
-
-def test_min_visible_run_length():
-    assert min_visible_run_length(tree_to_net(parse_tree(N1_TEXT))) == 2
-    assert min_visible_run_length(tree_to_net(parse_tree("xor(a,tau)"))) == 0
-    assert min_visible_run_length(tree_to_net(parse_tree("and(a,b,c)"))) == 3
 
 
 def test_replay_state_limit_guard():
