@@ -26,6 +26,7 @@ last synchronous move.
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import LogliftError, PatternError, SearchLimitError
 from .eventlog import COMPLETE, START, Event, EventLog, Trace
@@ -70,7 +71,7 @@ class ActivityPattern:
     lifecycle: dict[str, str]
     tree: ProcessTree | None = None
 
-    @property
+    @cached_property
     def activities(self) -> frozenset[str]:
         return frozenset(self.net.alphabet())
 

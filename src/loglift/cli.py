@@ -18,9 +18,9 @@ from .conformance import evaluate, expand_model
 from .discovery import discover_model
 from .errors import ConfigError, LogliftError, StageError
 from .eventlog import save_xes
-from .lpm import ORDERS, filter_diverse, load_ranking, parse_tree, save_ranking, tree_to_net
+from .lpm import ORDERS, load_ranking, parse_tree, save_ranking, tree_to_net
 from .pipeline import (PipelineConfig, generate_log, load_input, run_pipeline,
-                       run_sweep, sweep_csv, _stage)
+                       run_sweep, sweep_csv, _select, _stage)
 from .pnml import parse_pnml, save_pnml
 
 
@@ -104,14 +104,6 @@ def _pipeline_config(opts: _Options) -> PipelineConfig:
     return config
 
 
-def _selected_patterns(opts: _Options):
-    ranking = load_ranking(opts.lpms)
-    selected = filter_diverse(ranking, opts.t_div, k=opts.k, order=opts.order)
-    if not selected:
-        raise LogliftError("no patterns survived filtering")
-    return patterns_from_models(selected)
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_discover_lpms(opts: _Options) -> int:
@@ -130,7 +122,7 @@ def cmd_abstract(opts: _Options) -> int:
     config = _pipeline_config(opts)
     log = load_input(config)
     with _stage("filter"):
-        patterns = _selected_patterns(opts)
+        patterns = patterns_from_models(_select(load_ranking(opts.lpms), config))
     with _stage("abstract"):
         model = compose(patterns, config.composition)
         abstracted = abstract_log(log, model, keep_foreign=config.keep_foreign,
@@ -161,7 +153,8 @@ def cmd_evaluate(opts: _Options) -> int:
     with _stage("evaluate"):
         net = parse_pnml(opts.model)
         if opts.lpms:
-            net = expand_model(net, _selected_patterns(opts))
+            net = expand_model(net, patterns_from_models(
+                _select(load_ranking(opts.lpms), config)))
         report = evaluate(log, net, state_limit=config.state_limit)
         if opts.out:
             Path(opts.out).write_text(report.to_kv())

@@ -49,6 +49,7 @@ import heapq
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import LogFormatError, LogliftError
 from .eventlog import EventLog, complete_word
@@ -329,7 +330,7 @@ class LocalProcessModel:
     support: int = 0
     rank: int | None = None
 
-    @property
+    @cached_property
     def activities(self) -> frozenset[str]:
         return frozenset(self.net.alphabet())
 
@@ -904,6 +905,7 @@ def filter_diverse(ranking: LpmRanking, t_div: float, k: int | None = None,
 # ------------------------------------------------------------ persistence
 
 INDEX_FILE = "index.tsv"
+_INDEX_HEADER = "rank\tsupport\tdiversity\tactivities\ttree\tfile"
 
 
 def save_ranking(ranking: LpmRanking, dirpath: str) -> None:
@@ -912,7 +914,7 @@ def save_ranking(ranking: LpmRanking, dirpath: str) -> None:
 
     from .pnml import save_pnml
     os.makedirs(dirpath, exist_ok=True)
-    lines = ["rank\tsupport\tdiversity\tactivities\ttree\tfile"]
+    lines = [_INDEX_HEADER]
     for i, model in enumerate(ranking, start=1):
         fname = f"lpm_{i}.pnml"
         save_pnml(model.net, os.path.join(dirpath, fname))
@@ -925,8 +927,9 @@ def save_ranking(ranking: LpmRanking, dirpath: str) -> None:
 
 
 def load_ranking(dirpath: str) -> LpmRanking:
-    """Read a ranking written by save_ranking; a malformed index line or
-    model file raises LogFormatError naming the file."""
+    """Read a ranking written by save_ranking; a missing index header, a
+    malformed index line or model file raises LogFormatError naming the
+    file."""
     import os
 
     from .pnml import parse_pnml
@@ -936,6 +939,9 @@ def load_ranking(dirpath: str) -> LpmRanking:
     models: list[LocalProcessModel] = []
     with open(index_path, "r", encoding="utf-8") as fh:
         rows = fh.read().splitlines()
+    if not rows or rows[0] != _INDEX_HEADER:
+        raise LogFormatError(f"{index_path} does not start with the index header "
+                             f"{_INDEX_HEADER!r}")
     for row in rows[1:]:
         if not row.strip():
             continue

@@ -112,18 +112,16 @@ class Replay:
     transitions with an empty preset). The per-net caches make repeated
     replays over the same net cheap:
 
-    - firing: (marking, transition) -> next marking
-    - enabled transitions per marking, ascending
-    - silent pairs per marking: the (transition, next marking) pairs of
-      its enabled silent transitions, in transition order
-    - successors per marking (for the aligner): those silent pairs, and
-      the visible pairs of its enabled transitions, also grouped by label,
-      in transition order; an entry fires every enabled transition of its
-      marking
+    - one successor entry per marking, built by one scan that fires every
+      enabled transition: its silent and its visible (transition, next
+      marking) pairs, the visible ones also grouped by label, in transition
+      order. The aligner, the silent closures, set steps, enabled labels
+      and language_upto all read it.
     - set steps and enabled labels per closed marking set (for LPM scoring
-      and precision; a step fires only the transitions the stepped label
-      names and closes their images over the cached silent pairs, so it
-      interns no marking outside the silent closures of those images)
+      and precision). A step takes the stepped label's images from the
+      successor entries of the set's markings and closes them over their
+      silent pairs, so it interns every successor of each marking it
+      reaches, visible ones for other labels included.
     """
 
     def __init__(self, apn: AcceptingPetriNet, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -151,14 +149,11 @@ class Replay:
         # interning tables
         self._mark_ids: dict[tuple[int, ...], int] = {}
         self._marks: list[tuple[int, ...]] = []
-        self._fired: dict[tuple[int, int], int] = {}
-        self._silent: dict[int, list[tuple[int, int]]] = {}
         self._set_ids: dict[frozenset[int], int] = {}
         self._sets: list[frozenset[int]] = []
         self._set_accepting: list[bool] = []
         self._set_step: dict[tuple[int, str], int] = {}
         self._set_enabled: dict[int, frozenset[str]] = {}
-        self._enabled: dict[int, list[int]] = {}
         self._succ: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]],
                                     dict[str, list[tuple[int, int]]]]] = {}
 
@@ -187,65 +182,51 @@ class Replay:
         return mid
 
     def enabled_ts(self, mid: int) -> list[int]:
-        cached = self._enabled.get(mid)
-        if cached is None:
-            m = self._marks[mid]
-            pre = self.pre
-            candidates = set(self._unguarded)
-            for p, c in enumerate(m):
-                if c >= 1:
-                    candidates.update(self._consumers[p])
-            cached = sorted(t for t in candidates if all(m[p] >= 1 for p in pre[t]))
-            self._enabled[mid] = cached
-        return cached
-
-    def fire_t(self, mid: int, t: int) -> int:
-        key = (mid, t)
-        got = self._fired.get(key)
-        if got is None:
-            m = list(self._marks[mid])
-            for p in self.pre[t]:
-                m[p] -= 1
-            for p in self.post[t]:
-                m[p] += 1
-            got = self._fired[key] = self.intern(tuple(m))
-        return got
-
-    def _silent_pairs(self, mid: int) -> list[tuple[int, int]]:
-        """(transition, next marking) pairs of the enabled silent
-        transitions of mid, in transition order."""
-        pairs = self._silent.get(mid)
-        if pairs is None:
-            labels = self.labels
-            pairs = self._silent[mid] = [(t, self.fire_t(mid, t)) for t in self.enabled_ts(mid)
-                                         if labels[t] is None]
-        return pairs
+        """Enabled transitions of mid, ascending; uncached, as successors
+        scans each marking once."""
+        m = self._marks[mid]
+        pre = self.pre
+        candidates = set(self._unguarded)
+        for p, c in enumerate(m):
+            if c >= 1:
+                candidates.update(self._consumers[p])
+        return sorted(t for t in candidates if all(m[p] >= 1 for p in pre[t]))
 
     def successors(self, mid: int):
         """(silent, visible, visible by label) lists of (transition, next
         marking) pairs over the enabled transitions of mid, in transition
-        order; the silent list is the one _silent_pairs caches."""
+        order."""
         entry = self._succ.get(mid)
         if entry is None:
+            silent: list[tuple[int, int]] = []
             visible: list[tuple[int, int]] = []
             by_label: dict[str, list[tuple[int, int]]] = {}
-            labels = self.labels
+            m = self._marks[mid]
+            pre, post, labels = self.pre, self.post, self.labels
             for t in self.enabled_ts(mid):
+                dense = list(m)
+                for p in pre[t]:
+                    dense[p] -= 1
+                for p in post[t]:
+                    dense[p] += 1
+                pair = (t, self.intern(tuple(dense)))
                 label = labels[t]
-                if label is not None:
-                    pair = (t, self.fire_t(mid, t))
+                if label is None:
+                    silent.append(pair)
+                else:
                     visible.append(pair)
                     by_label.setdefault(label, []).append(pair)
-            entry = self._succ[mid] = (self._silent_pairs(mid), visible, by_label)
+            entry = self._succ[mid] = (silent, visible, by_label)
         return entry
 
     def _close(self, mids) -> frozenset[int]:
         """The given markings and all markings reachable from them by silent
         firings: one depth-first search with one seen set."""
+        successors = self.successors
         seen = set(mids)
         stack = list(seen)
         while stack:
-            for _, nxt in self._silent_pairs(stack.pop()):
+            for _, nxt in successors(stack.pop())[0]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -268,10 +249,9 @@ class Replay:
         cached = self._set_step.get(key)
         if cached is not None:
             return cached
-        labels = self.labels
-        fire = self.fire_t
-        images = [fire(mid, t) for mid in self._sets[sid]
-                  for t in self.enabled_ts(mid) if labels[t] == activity]
+        successors = self.successors
+        images = [nxt for mid in self._sets[sid]
+                  for _, nxt in successors(mid)[2].get(activity, ())]
         out = self._intern_set(self._close(images))
         self._set_step[key] = out
         return out
@@ -280,9 +260,9 @@ class Replay:
         """Visible labels enabled in some marking of a closed marking set."""
         cached = self._set_enabled.get(sid)
         if cached is None:
-            labels = self.labels
-            cached = frozenset(labels[t] for mid in self._sets[sid]
-                               for t in self.enabled_ts(mid)) - {None}
+            successors = self.successors
+            cached = frozenset(label for mid in self._sets[sid]
+                               for label in successors(mid)[2])
             self._set_enabled[sid] = cached
         return cached
 
@@ -322,14 +302,11 @@ def language_upto(apn: AcceptingPetriNet, max_visible_len: int,
         mid, word = queue.popleft()
         if mid == rp.final_id:
             out.add(word)
-        for t in rp.enabled_ts(mid):
-            label = rp.labels[t]
-            if label is None:
-                new = (rp.fire_t(mid, t), word)
-            elif len(word) < max_visible_len:
-                new = (rp.fire_t(mid, t), word + (label,))
-            else:
-                continue
+        silent, visible, _ = rp.successors(mid)
+        nexts = [(nxt, word) for _, nxt in silent]
+        if len(word) < max_visible_len:
+            nexts += [(nxt, word + (rp.labels[t],)) for t, nxt in visible]
+        for new in nexts:
             if new not in seen:
                 if len(seen) >= state_limit:
                     raise SearchLimitError(

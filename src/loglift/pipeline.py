@@ -132,6 +132,15 @@ def _lift(log: EventLog, config: PipelineConfig, selected: list[LocalProcessMode
     return model, abstracted, tree, expanded, report
 
 
+def _select(ranking: LpmRanking, config: PipelineConfig) -> list[LocalProcessModel]:
+    """The models of the ranking that config's diversity filter keeps;
+    keeping none raises LogliftError."""
+    selected = filter_diverse(ranking, config.t_div, k=config.k, order=config.order)
+    if not selected:
+        raise LogliftError("no patterns survived filtering")
+    return selected
+
+
 def run_stages(log: EventLog, config: PipelineConfig,
                ranking: LpmRanking | None = None) -> PipelineResult:
     """All pipeline computation; artifacts are the caller's business."""
@@ -140,10 +149,7 @@ def run_stages(log: EventLog, config: PipelineConfig,
         if ranking is None:
             ranking = discover_lpms(log, **config.lpm_search())
     with _stage("filter"):
-        selected = filter_diverse(ranking, config.t_div, k=config.k,
-                                  order=config.order)
-        if not selected:
-            raise LogliftError("no patterns survived filtering")
+        selected = _select(ranking, config)
     model, abstracted, tree, expanded, report = _lift(log, config, selected)
     with _stage("discover"):
         baseline_tree = discover_model(log, noise=config.noise)
@@ -251,10 +257,7 @@ def run_sweep(log: EventLog, config: PipelineConfig,
                     cell = replace(config, k=k, t_div=t_div,
                                    composition=composition)
                     cell.validate()
-                    selected = filter_diverse(ranking, t_div, k=k,
-                                              order=config.order)
-                    if not selected:
-                        raise LogliftError("no patterns survived filtering")
+                    selected = _select(ranking, cell)
                     key = (tuple(m.key for m in selected), composition)
                     hit = cache.get(key)
                     if hit is None:

@@ -1,10 +1,12 @@
 """Net semantics, the replay engine, language oracles, PNML round-trip."""
 
+from collections import Counter, defaultdict
+
 import pytest
 
 from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
-                     abstract_trace, accepts, align_words, language_upto,
-                     make_lpm, parse_pnml, parse_tree,
+                     abstract_log, abstract_trace, accepts, align_words, evaluate,
+                     language_upto, make_lpm, parse_pnml, parse_tree,
                      save_pnml, tree_to_net, write_pnml)
 from loglift.eventlog import complete_word
 from conftest import N1_TEXT, planted_alignment_cases
@@ -23,10 +25,10 @@ def test_enabled_and_fire():
     t1, t2 = rp.transitions.index("t1"), rp.transitions.index("t2")
     m0 = rp.initial_id
     assert rp.enabled_ts(m0) == [t1]
-    m1 = rp.fire_t(m0, t1)
-    assert m1 == rp.intern(tuple(int(p == "p2") for p in rp.places))
+    m1 = rp.intern(tuple(int(p == "p2") for p in rp.places))
+    assert rp.successors(m0) == ([], [(t1, m1)], {"a": [(t1, m1)]})
     assert rp.enabled_ts(m1) == [t2]
-    assert rp.fire_t(m1, t2) == rp.final_id
+    assert rp.successors(m1) == ([], [(t2, rp.final_id)], {"b": [(t2, rp.final_id)]})
 
 
 def brute_enabled(rp, m):
@@ -58,25 +60,21 @@ def brute_closure(rp, m):
 
 
 def check_replay_caches(rp):
-    """enabled_ts, successors and the cached silent pairs of every marking
-    the replay has interned, its start set and every set step it has
-    taken, against brute-force scans over all transitions."""
+    """enabled_ts and the successor entry of every marking the replay has
+    interned, its start set and every set step it has taken, against
+    brute-force scans over all transitions."""
     for mid in range(len(rp._marks)):
         m = rp._marks[mid]
         enabled = brute_enabled(rp, m)
         assert rp.enabled_ts(mid) == enabled
-        pairs = [(t, rp.fire_t(mid, t)) for t in enabled]
-        for t, nxt in pairs:
-            assert rp._marks[nxt] == brute_fire(rp, m, t)
-        visible = [(t, n) for t, n in pairs if rp.labels[t] is not None]
-        by_label = {}
+        silent, visible, by_label = rp.successors(mid)
+        pairs = [(t, rp._mark_ids[brute_fire(rp, m, t)]) for t in enabled]
+        assert silent == [(t, n) for t, n in pairs if rp.labels[t] is None]
+        assert visible == [(t, n) for t, n in pairs if rp.labels[t] is not None]
+        want = {}
         for t, n in visible:
-            by_label.setdefault(rp.labels[t], []).append((t, n))
-        silent = [(t, n) for t, n in pairs if rp.labels[t] is None]
-        if mid in rp._silent:
-            assert rp._silent[mid] == silent
-        assert rp.successors(mid) == (silent, visible, by_label)
-        assert rp.successors(mid)[0] is rp._silent[mid]
+            want.setdefault(rp.labels[t], []).append((t, n))
+        assert by_label == want
 
     def dense_set(sid):
         return {rp._marks[mid] for mid in rp._sets[sid]}
@@ -115,6 +113,37 @@ def test_replay_caches_match_brute_force_on_aligned_markings(composition):
         assert len(rp._marks) > 1, name
         assert rp._set_step, name
         check_replay_caches(rp)
+
+
+@pytest.mark.parametrize("composition", ["interleaving", "parallel"])
+def test_each_marking_is_scanned_once(composition, monkeypatch):
+    # alignment, set steps, precision and the language oracle all read a
+    # marking's one successor entry, so no Replay scans a marking twice
+    scans = defaultdict(Counter)  # keyed by the Replay itself: ids get reused
+    enabled_ts = Replay.enabled_ts
+
+    def counting(rp, mid):
+        scans[rp][mid] += 1
+        return enabled_ts(rp, mid)
+
+    monkeypatch.setattr(Replay, "enabled_ts", counting)
+    log, nets = planted_alignment_cases(composition)
+    words = [complete_word(t) for t in log]
+    for name, net in nets.items():
+        if name == "abstraction":
+            abstract_log(log, net)
+            apn = net.net
+        else:
+            evaluate(log, net)
+            apn = net
+        rp = Replay(apn)
+        for word in words:
+            align_words(word, apn, replay=rp)
+        step_words(rp, words)
+        language_upto(apn, 3)
+    assert len(scans) > 6
+    for counts in scans.values():
+        assert max(counts.values()) == 1
 
 
 def test_replay_caches_match_brute_force_on_hand_nets():

@@ -475,11 +475,15 @@ def test_cli_stage_failures_exit_2(tmp_path, capsys, cli_log):
         err = capsys.readouterr().err
         assert "[evaluate]" in err and name in err, err
     header = "rank\tsupport\tdiversity\tactivities\ttree\tfile\n"
-    for name, row in (("support", "1\tx\t1.0\ta,b\tseq(a,b)\tlpm_1.pnml\n"),
-                      ("tree", "1\t5\t1.0\ta\tseq(a\tlpm_1.pnml\n")):
+    # without its header the first model must not be skipped as one
+    headerless = ("1\t5\t1.000000\ta,b,c\tseq(a,b,c)\tlpm_1.pnml\n"
+                  "2\t3\t1.000000\td,e\tand(d,e)\tlpm_2.pnml\n")
+    for name, text in (("support", header + "1\tx\t1.0\ta,b\tseq(a,b)\tlpm_1.pnml\n"),
+                       ("tree", header + "1\t5\t1.0\ta\tseq(a\tlpm_1.pnml\n"),
+                       ("headerless", headerless)):
         lpm_dir = tmp_path / f"lpms_{name}"
         lpm_dir.mkdir()
-        (lpm_dir / "index.tsv").write_text(header + row)
+        (lpm_dir / "index.tsv").write_text(text)
         assert main(["abstract", "--input", cli_log, "--lpms", str(lpm_dir),
                      "--out", str(tmp_path / "abs.xes")]) == 2
         err = capsys.readouterr().err
