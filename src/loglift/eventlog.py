@@ -205,24 +205,45 @@ def _parse_event(event_el, trace_index: int, case_id: str) -> Event:
 
 # --------------------------------------------------------------- XES output
 
+_XES_HEAD = ("<?xml version='1.0' encoding='utf-8'?>\n"
+             '<log xes.version="1.0" xes.features=""')
+
+
 def write_xes(log: EventLog) -> bytes:
-    """Serialize a log to XES bytes; output is deterministic for equal logs."""
-    root = ET.Element("log", {"xes.version": "1.0", "xes.features": ""})
-    for trace in log.traces:
-        trace_el = ET.SubElement(root, "trace")
-        ET.SubElement(trace_el, "string", {"key": "concept:name", "value": trace.case_id})
-        for event in trace.events:
-            ev_el = ET.SubElement(trace_el, "event")
-            ET.SubElement(ev_el, "string", {"key": "concept:name", "value": event.activity})
-            if event.lifecycle is not None:
-                ET.SubElement(ev_el, "string",
-                              {"key": "lifecycle:transition", "value": event.lifecycle})
-            if event.timestamp is not None:
-                ET.SubElement(ev_el, "date",
-                              {"key": "time:timestamp", "value": event.timestamp.isoformat()})
-            for key in sorted(event.attributes):
-                ET.SubElement(ev_el, "string", {"key": key, "value": event.attributes[key]})
-    return xml_bytes(root)
+    """Serialize a log to XES bytes; output is deterministic for equal logs.
+
+    Written as text, byte for byte what xml_bytes gives for the log as an
+    element tree: a <trace> per trace holding its concept:name <string>
+    and an <event> per event, each event holding its concept:name, its
+    lifecycle:transition and time:timestamp if set, then its other
+    attributes in key order.
+    """
+    if not log.traces:
+        return (_XES_HEAD + " />").encode("utf-8", "xmlcharrefreplace")
+    # one string per trace, not a list of every attribute's piece
+    return (_XES_HEAD + ">" + "".join([_trace_xes(t) for t in log.traces])
+            + "\n</log>").encode("utf-8", "xmlcharrefreplace")
+
+
+def _trace_xes(trace: Trace) -> str:
+    attr = _ATTR_ESCAPES
+    parts = [f'\n  <trace>\n    <string key="concept:name" '
+             f'value="{_escape(trace.case_id, attr)}" />']
+    for event in trace.events:
+        parts.append(f'\n    <event>\n      <string key="concept:name" '
+                     f'value="{_escape(event.activity, attr)}" />')
+        if event.lifecycle is not None:
+            parts.append(f'\n      <string key="lifecycle:transition" '
+                         f'value="{_escape(event.lifecycle, attr)}" />')
+        if event.timestamp is not None:
+            parts.append(f'\n      <date key="time:timestamp" '
+                         f'value="{_escape(event.timestamp.isoformat(), attr)}" />')
+        for key in sorted(event.attributes):
+            parts.append(f'\n      <string key="{_escape(key, attr)}" '
+                         f'value="{_escape(event.attributes[key], attr)}" />')
+        parts.append("\n    </event>")
+    parts.append("\n  </trace>")
+    return "".join(parts)
 
 
 def save_xes(log: EventLog, path: str) -> None:

@@ -46,6 +46,7 @@ produced during search collapse to one canonical form.
 import bisect
 import copy
 import heapq
+import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
@@ -693,13 +694,15 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     if not eligible:
         raise LogliftError(f"no activity reaches min_support={min_support}")
 
-    def order_key(entry: tuple[ProcessTree, int]):
-        tree, s = entry
-        return (-s, len(tree.activities()), tree.node_count(), tree.sort_key())
+    def entry(tree: ProcessTree, s: int, n_acts: int):
+        """A ranked entry (order key, tree), its key computed once: (-support,
+        activities, nodes, canonical serialization)."""
+        return (-s, n_acts, tree.node_count(), tree.sort_key()), tree
 
+    order_key = operator.itemgetter(0)
     # Trees are immutable, so every candidate shares one leaf per activity.
     leaves = {a: leaf(a) for a in eligible}
-    # order_key is a total order, so keeping only a round's first entries
+    # the order key is a total order, so keeping only a round's first entries
     # is exact: nothing reads past the first max(beam_width, max_results)
     keep = max(beam_width, max_results)
     # the six op(x, y) variants of every pair of leaf ranks x != y, in the
@@ -717,7 +720,7 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
         # candidates have exactly the activities have | {y}, so no tree is
         # grown from two sets, and the rank shape depends on y only by p.
         steps: dict[frozenset[str], list[tuple[tuple, int]]] = {}
-        for tree, _s in beam:
+        for _key, tree in beam:
             acts = tree.activities()
             have = sorted(acts)
             by_p = [_rank_shape(tree, {a: i + (i >= p) for i, a in enumerate(have)})
@@ -766,9 +769,9 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
                             heapq.heappush(top, s)
                         elif s > floor:
                             heapq.heapreplace(top, s)
-                        yield _tree_of(candidate, act_leaves), s
+                        yield entry(_tree_of(candidate, act_leaves), s, len(ordered))
 
-    current = sorted(((leaves[a], freqs[a]) for a in eligible), key=order_key)
+    current = sorted((entry(leaves[a], freqs[a], 1) for a in eligible), key=order_key)
     ranked = current[:max_results]
     for _size in range(2, max_activities + 1):
         current = heapq.nsmallest(keep, bounded(current[:beam_width]), key=order_key)
@@ -776,8 +779,8 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
             break
         ranked = sorted(ranked + current[:max_results], key=order_key)[:max_results]
 
-    models = [LocalProcessModel(net=tree_to_net(t), tree=t, support=s, rank=i + 1)
-              for i, (t, s) in enumerate(ranked)]
+    models = [LocalProcessModel(net=tree_to_net(t), tree=t, support=-key[0], rank=i + 1)
+              for i, (key, t) in enumerate(ranked)]
     return LpmRanking(models=models)
 
 

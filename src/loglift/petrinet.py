@@ -115,13 +115,14 @@ class Replay:
     - one successor entry per marking, built by one scan that fires every
       enabled transition: its silent and its visible (transition, next
       marking) pairs, the visible ones also grouped by label, in transition
-      order. The aligner, the silent closures, set steps, enabled labels
-      and language_upto all read it.
+      order. The abstraction's aligner, the silent closures, set steps,
+      enabled labels and language_upto all read it.
     - set steps and enabled labels per closed marking set (for LPM scoring
-      and precision). A step takes the stepped label's images from the
-      successor entries of the set's markings and closes them over their
-      silent pairs, so it interns every successor of each marking it
-      reaches, visible ones for other labels included.
+      and for conformance, which aligns and measures precision over marking
+      sets). A step takes the stepped label's images from the successor
+      entries of the set's markings and closes them over their silent
+      pairs, so it interns every successor of each marking it reaches,
+      visible ones for other labels included.
     """
 
     def __init__(self, apn: AcceptingPetriNet, state_limit: int = DEFAULT_STATE_LIMIT):

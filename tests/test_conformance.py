@@ -6,13 +6,14 @@ from collections import Counter, defaultdict
 import pytest
 
 from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, LogliftError,
-                     PatternError, PetriNet, SearchLimitError, compose,
+                     PatternError, PetriNet, Replay, SearchLimitError, compose,
                      evaluate, expand_model, f_score, language_upto, make_lpm,
                      make_pattern, parse_tree, save_pnml, save_xes,
                      tree_to_net)
 from loglift.cli import main
 from loglift.abstraction import LOG, MODEL, SYNC, align_words
-from conftest import align_trace, mk_log, mk_trace, planted_alignment_cases
+from conftest import (align_trace, all_words, mk_log, mk_trace,
+                      planted_alignment_cases)
 
 
 def pattern(text, name):
@@ -239,6 +240,43 @@ def test_precision_is_invariant_under_search_order(text, words):
     assert evaluate(mk_log(words[::-1]), apn).precision == want.precision
     other = evaluate(mk_log(words), renamed_transitions(apn))
     assert (other.precision, other.trace_costs) == (want.precision, want.trace_costs)
+
+
+AND_OF_LOOPS = "and(loop(a,tau),loop(b,tau),loop(c,tau),loop(d,tau))"
+
+
+def set_search_cases():
+    """(name, net, longest word checked): the precision nets, a four-wide
+    and of loops, and the expanded net of the lift-shaped log of seed 1 (an
+    and of three pattern loops). Marking-level alignment of every 4-letter
+    word against the last takes about 40 s, so it stops at 3 letters."""
+    cases = [(text, tree_to_net(parse_tree(text)), 4)
+             for text in [t for t, _ in PRECISION_CASES] + [AND_OF_LOOPS]]
+    _, nets = planted_alignment_cases("parallel", seed=1, traces=25)
+    return cases + [("lift seed 1, expanded", nets["expanded"], 3)]
+
+
+def test_set_search_costs_equal_marking_search_costs():
+    # evaluate aligns over marking sets; its trace costs must be align_words'
+    # costs, the empty word's (the shortest visible run) included
+    for name, apn, max_len in set_search_cases():
+        words = all_words(sorted(apn.alphabet()) + ["x"], max_len)
+        rp = Replay(apn)
+        want = [align_words(list(w), apn, replay=rp).cost for w in words]
+        assert words[0] == ()
+        assert evaluate(mk_log(words), apn).trace_costs == want, name
+
+
+def test_set_search_settles_within_a_limit_the_marking_search_exceeds():
+    # the marking search expands every interleaving of the loops' silent
+    # moves; the set search settles (marking set, position) states, and the
+    # shared Replay interns 258 markings
+    apn = tree_to_net(parse_tree(AND_OF_LOOPS))
+    word = "aaaaaaaa"
+    with pytest.raises(SearchLimitError, match="during alignment"):
+        align_words(list(word), apn, state_limit=1000)
+    report = evaluate(mk_log([word]), apn, state_limit=1000)
+    assert report.trace_costs == [align_words(list(word), apn).cost]
 
 
 def test_evaluate_search_limit_names_first_case_of_word():

@@ -7,7 +7,6 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-import loglift.eventlog
 import loglift.pnml
 from loglift import (ConfigError, Event, EventLog, LogFormatError, Trace,
                      generate_log, load_log, parse_csv, parse_tree, parse_xes,
@@ -274,19 +273,43 @@ def test_xml_bytes_matches_indent_and_write(monkeypatch):
         roots.append(root)
         return xml_bytes(root)
 
-    monkeypatch.setattr(loglift.eventlog, "xml_bytes", capturing)
     monkeypatch.setattr(loglift.pnml, "xml_bytes", capturing)
+    apn = tree_to_net(parse_tree("seq('a & b',loop('<c>',tau))"))
+    write_pnml(apn, {t: "tag & <x>" for t in apn.net.transitions})
+    assert len(roots) == 6
+    for root in roots:
+        before = ET.tostring(root)
+        assert xml_bytes(root) == _indent_and_write(root), ET.tostring(root)
+        assert ET.tostring(root) == before
+
+
+def _xes_element_tree(log):
+    """The element tree write_xes serializes, built as it once built it."""
+    root = ET.Element("log", {"xes.version": "1.0", "xes.features": ""})
+    for trace in log.traces:
+        trace_el = ET.SubElement(root, "trace")
+        ET.SubElement(trace_el, "string", {"key": "concept:name", "value": trace.case_id})
+        for event in trace.events:
+            ev_el = ET.SubElement(trace_el, "event")
+            ET.SubElement(ev_el, "string", {"key": "concept:name", "value": event.activity})
+            if event.lifecycle is not None:
+                ET.SubElement(ev_el, "string",
+                              {"key": "lifecycle:transition", "value": event.lifecycle})
+            if event.timestamp is not None:
+                ET.SubElement(ev_el, "date",
+                              {"key": "time:timestamp", "value": event.timestamp.isoformat()})
+            for key in sorted(event.attributes):
+                ET.SubElement(ev_el, "string", {"key": key, "value": event.attributes[key]})
+    return root
+
+
+def test_write_xes_matches_element_tree_oracle():
     log = generate_log([parse_tree("seq(a,and(b,c))")], instances=2, traces=4,
                        noise_rate=0.3, seed=5)
     log.traces.append(Trace(case_id="odd & <case>", events=[
         Event(activity="b & \"c\"\t\r\n", lifecycle="start",
               timestamp=datetime.datetime(2024, 1, 2, 3, 4, 5),
-              attributes={"org:resource": "<r>", "note": "\ud800"})]))
-    write_xes(log)
-    apn = tree_to_net(parse_tree("seq('a & b',loop('<c>',tau))"))
-    write_pnml(apn, {t: "tag & <x>" for t in apn.net.transitions})
-    assert len(roots) == 7
-    for root in roots:
-        before = ET.tostring(root)
-        assert xml_bytes(root) == _indent_and_write(root), ET.tostring(root)
-        assert ET.tostring(root) == before
+              attributes={"org:resource": "<r>", "note": "\ud800", "k & \"<>\"": "v"})]))
+    log.traces.append(Trace(case_id="empty", events=[]))
+    for case in (log, EventLog(), EventLog(traces=[Trace(case_id="", events=[])])):
+        assert write_xes(case) == _indent_and_write(_xes_element_tree(case))
