@@ -7,15 +7,18 @@ completion). Patterns are composed into one abstraction model, the trace is
 aligned against that model, and every matched pattern occurrence is
 replaced by one high-level event.
 
-Alignment move costs: synchronous and silent model moves are free, log
-moves and visible model moves cost one. Minimum total cost alone does not
-pin down the occurrence structure, so ties break lexicographically: first
-fewest gap moves (log moves of an activity that belongs to a pattern with
-an occurrence currently open; an occurrence is meant to be one contiguous
-run of the trace projected onto its pattern's activities, so skipping a
-matching event mid-occurrence is the anomaly), then fewest visible model
-moves (do not invent pattern behavior out of stray events when an equally
-cheap explanation without model moves exists).
+The trace is aligned by petrinet.align, the one A* alignment search,
+run here over the markings of the composed net (conformance runs it over
+marking sets). Alignment move costs: synchronous and silent model moves
+are free, log moves and visible model moves cost one. Minimum total cost
+alone does not pin down the occurrence structure, so ties break
+lexicographically: first fewest gap moves (log moves of an activity that
+belongs to a pattern with an occurrence currently open; an occurrence is
+meant to be one contiguous run of the trace projected onto its pattern's
+activities, so skipping a matching event mid-occurrence is the anomaly),
+then fewest visible model moves (do not invent pattern behavior out of
+stray events when an equally cheap explanation without model moves
+exists).
 
 An occurrence whose completing transition had to be inserted as a visible
 model move is not reported as a high-level event: its matched events are
@@ -24,15 +27,14 @@ demoted back to plain low-level events. Occurrences that complete silently
 last synchronous move.
 """
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import LogliftError, PatternError, SearchLimitError
+from .errors import PatternError, SearchLimitError
 from .eventlog import COMPLETE, START, Event, EventLog, Trace
 from .lpm import LocalProcessModel, ProcessTree
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
-                       Replay, splice)
+                       Replay, align, splice)
 
 INTERLEAVING = "interleaving"
 PARALLEL = "parallel"
@@ -212,142 +214,32 @@ def align_words(events: list[str], apn: AcceptingPetriNet,
                 gap_oracle=None) -> Alignment:
     """Minimum-cost alignment of an activity sequence against a net.
 
-    Lexicographically minimizes (total cost, gap moves, visible model
-    moves). A* pops states in the order (total cost + heuristic, gap
-    moves, visible model moves, deepest log position first, first pushed
-    first); successors are pushed in the order sync, tau, log, visible
-    model. Going deeper first on ties keeps a zero-cost run through a
-    concurrent net from expanding every interleaving of its silent moves
-    breadth-first. gap_oracle maps a marking id to the activities whose
-    log move counts as a gap move there (none without an oracle, as for
-    plain nets). A log move is always possible, so the search ends without
-    an alignment only when the final marking is unreachable: that raises
-    LogliftError, while hitting state_limit raises SearchLimitError. The
-    empty word's alignment costs the net's shortest visible run.
-
-    A state (log position, marking) is the int marking * (n + 1) +
-    position; its moves come from the replay's cached successors of the
-    marking. Each reached state records only its parent state and the
-    transition taken (-1 for a log move); move objects are built along the
-    returned path alone.
-
-    Costs and heap keys are single ints in exact mixed radices, so
-    comparing two ints compares the tuples they encode. A cost vector
-    (cost, gap moves, visible model moves) is packed as (cost * (n + 1) +
-    gap moves) * M + model moves, with M = state_limit + 2: gap moves are
-    log moves, so at most n, and the model moves on a path are at most the
-    states settled before it ends, so at most state_limit + 1. A state at
-    log position pos with packed cost d has the pop key d * (n + 1) +
-    hw[pos], where hw[pos] = foreign_suffix[pos] * (n + 1) * M * (n + 1) +
-    n - pos adds the heuristic to the cost digit and puts deeper positions
-    first. Heap entries are (key, push counter, state); only the goal's
-    cost is decoded.
+    petrinet.align over the replay's markings, from the initial marking to
+    the final one: it lexicographically minimizes (total cost, gap moves,
+    visible model moves), gap_oracle mapping a marking id to the
+    activities whose log move counts as a gap move there (none without an
+    oracle, as for plain nets). Its path becomes the moves. An unreachable
+    final marking raises LogliftError; settling more than state_limit
+    states raises SearchLimitError. The empty word's alignment costs the
+    net's shortest visible run.
     """
     rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
-    heappush, heappop = heapq.heappush, heapq.heappop
-    successors = rp.successors
-    n = len(events)
-    width = n + 1
-    alphabet = set(rp.labels) - {None}
-    # admissible heuristic: events the net cannot ever mirror must be log moves
-    foreign_suffix = [0] * width
-    for i in range(n - 1, -1, -1):
-        foreign_suffix[i] = foreign_suffix[i + 1] + (0 if events[i] in alphabet else 1)
-    model_radix = state_limit + 2
-    cost_unit = width * model_radix
-    hw = [foreign_suffix[pos] * cost_unit * width + n - pos for pos in range(width)]
-
-    start = rp.initial_id * width
-    goal = rp.final_id * width + n
-    dist: dict[int, int] = {start: 0}
-    parent: dict[int, tuple[int, int]] = {}
-    counter = 0
-    heap = [(hw[0], 0, start)]
-    settled: set[int] = set()
-
-    while heap:
-        _, _, state = heappop(heap)
-        if state in settled:
-            continue
-        settled.add(state)
-        if state == goal:
-            break
-        if len(settled) > state_limit:
-            raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
-        mid, pos = divmod(state, width)
-        d = dist[state]
-        silent, visible, by_label = successors(mid)
-        if pos < n:
-            # sync moves
-            nxt_pos = pos + 1
-            key = d * width + hw[nxt_pos]
-            for t, m in by_label.get(events[pos], ()):
-                nxt = m * width + nxt_pos
-                if nxt not in settled:
-                    old = dist.get(nxt)
-                    if old is None or d < old:
-                        dist[nxt] = d
-                        parent[nxt] = (state, t)
-                        counter += 1
-                        heappush(heap, (key, counter, nxt))
-        key = d * width + hw[pos]
-        for t, m in silent:
-            nxt = m * width + pos
-            if nxt not in settled:
-                old = dist.get(nxt)
-                if old is None or d < old:
-                    dist[nxt] = d
-                    parent[nxt] = (state, t)
-                    counter += 1
-                    heappush(heap, (key, counter, nxt))
-        if pos < n:
-            # log move
-            nxt = state + 1
-            if nxt not in settled:
-                new = d + cost_unit
-                if gap_oracle is not None and events[pos] in gap_oracle(mid):
-                    new += model_radix
-                old = dist.get(nxt)
-                if old is None or new < old:
-                    dist[nxt] = new
-                    parent[nxt] = (state, -1)
-                    counter += 1
-                    heappush(heap, (new * width + hw[pos + 1], counter, nxt))
-        new = d + cost_unit + 1
-        key = new * width + hw[pos]
-        for t, m in visible:
-            nxt = m * width + pos
-            if nxt not in settled:
-                old = dist.get(nxt)
-                if old is None or new < old:
-                    dist[nxt] = new
-                    parent[nxt] = (state, t)
-                    counter += 1
-                    heappush(heap, (key, counter, nxt))
-
-    if goal not in settled:
-        # every reachable state was settled within the limit: a definite no
-        raise LogliftError("final marking is not reachable from the initial marking")
+    final = rp.final_id
+    cost_vector, path = align(events, rp, rp.successors, rp.initial_id,
+                              lambda mid: mid == final, state_limit, gap_oracle)
     moves: list[AlignmentMove] = []
-    state = goal
-    while state != start:
-        prev, t = parent[state]
-        pos = prev % width
-        if t < 0:
+    for pos, t, advanced in path:
+        if t is None:
             moves.append(AlignmentMove(LOG, log_index=pos, activity=events[pos]))
         elif rp.labels[t] is None:
             moves.append(AlignmentMove(TAU, transition=rp.transitions[t]))
-        elif state % width > pos:
+        elif advanced:
             moves.append(AlignmentMove(SYNC, log_index=pos, transition=rp.transitions[t],
                                        activity=events[pos]))
         else:
             moves.append(AlignmentMove(MODEL, transition=rp.transitions[t],
                                        activity=rp.labels[t]))
-        state = prev
-    moves.reverse()
-    cost, rest = divmod(dist[goal], cost_unit)
-    gaps, model = divmod(rest, model_radix)
-    return Alignment(moves=moves, cost=cost, cost_vector=(cost, gaps, model))
+    return Alignment(moves=moves, cost=cost_vector[0], cost_vector=cost_vector)
 
 
 # ------------------------------------------------------------- abstraction

@@ -16,24 +16,25 @@ not of the one marking a chosen alignment passes through, so precision
 does not depend on the order silent transitions fire in (the language
 view of Munoz-Gama & Carmona, BPM 2010).
 
-Alignments run over Replay's marking sets, not over markings. Synchronous
-and silent moves are free and log and visible model moves cost one, so a
-cost depends only on the visible moves, and the cheapest alignment of a
-word is a cheapest path in the subset automaton: a log move keeps the
-set, a synchronous or visible model move on a label steps the set by it,
-and the goal is the whole word read in a set holding the final marking.
-The silent interleavings of a concurrent net, which a marking-level
-search expands one by one, never become states.
+Alignments run over Replay's marking sets, not over markings: they are
+petrinet.align, the A* the abstraction runs over markings, fed each set's
+successor entry (Replay.set_successors). Synchronous and silent moves are
+free and log and visible model moves cost one, so a cost depends only on
+the visible moves, and the cheapest alignment of a word is a cheapest
+path in the subset automaton: a log move keeps the set, a synchronous or
+visible model move on a label steps the set by it, and the goal is the
+whole word read in a set holding the final marking. The silent
+interleavings of a concurrent net, which a marking-level search expands
+one by one, never become states.
 """
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import LogliftError, SearchLimitError
+from .errors import SearchLimitError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
-                       Replay, splice)
+                       Replay, align, splice)
 
 
 @dataclass
@@ -80,114 +81,22 @@ def expand_model(high_net: AcceptingPetriNet,
     return apn
 
 
-def align_words(word, rp: Replay,
-                model_moves: dict[int, list[tuple[str, int]]]) -> tuple[int, list[str]]:
+def align_words(word, rp: Replay) -> tuple[int, list[str]]:
     """Cost of the cheapest alignment of word against rp's net, and the
     visible labels of its synchronous and model moves, in order.
 
-    The set search evaluate aligns with, not abstraction.align_words, which
-    searches over markings and returns the moves; it keeps that name here
-    so that a profiler wrapping this module's align_words times it.
-
-    A* over states (marking set, log position), packed as the int set id *
-    (n + 1) + position. From set S at position pos: a synchronous move
-    goes to (step(S, word[pos]), pos + 1) if that set is not empty, at
-    cost 0; a log move to (S, pos + 1), at cost 1; a model move on b to
-    (step(S, b), pos), at cost 1, for each b in sorted(enabled_labels(S)).
-    The goal is any state at position n whose set is accepting. The keys
-    are abstraction.align_words' without the gap digit: a cost (cost, visible model
-    moves) is the int cost * M + model moves with M = rp.state_limit + 2 (a
-    path's model moves are at most the states settled before its end), and
-    a state at position pos with cost d pops with key (d +
-    foreign_suffix[pos] * M) * (n + 1) + n - pos, so the heuristic counts
-    the events the net can never mirror and deeper positions go first;
-    ties pop first pushed first, pushed in the order synchronous, log,
-    model. model_moves caches each set's (label, next set) model moves for
-    the caller's searches on rp. An exhausted search is a definite no
+    petrinet.align over rp's closed marking sets (set_successors), from
+    the start set to any accepting set; the same search
+    abstraction.align_words runs over markings. A set has no silent moves,
+    and its synchronous or model move on a label steps it by that label.
+    It keeps the name align_words here so that a profiler wrapping this
+    module's align_words times it. An exhausted search is a definite no
     (LogliftError); settling more than rp.state_limit states raises
     SearchLimitError.
     """
-    state_limit = rp.state_limit
-    heappush, heappop = heapq.heappush, heapq.heappop
-    step, accepting = rp.step, rp._set_accepting
-    empty = rp.empty_set_id
-    n = len(word)
-    width = n + 1
-    alphabet = set(rp.labels) - {None}
-    foreign_suffix = [0] * width
-    for i in range(n - 1, -1, -1):
-        foreign_suffix[i] = foreign_suffix[i + 1] + (0 if word[i] in alphabet else 1)
-    model_radix = state_limit + 2
-    hw = [foreign_suffix[pos] * model_radix * width + n - pos for pos in range(width)]
-
-    start = rp.start_set_id * width
-    dist: dict[int, int] = {start: 0}
-    parent: dict[int, tuple[int, str | None]] = {}
-    counter = 0
-    heap = [(hw[0], 0, start)]
-    settled: set[int] = set()
-    goal = None
-
-    while heap:
-        _, _, state = heappop(heap)
-        if state in settled:
-            continue
-        settled.add(state)
-        sid, pos = divmod(state, width)
-        if pos == n and accepting[sid]:
-            goal = state
-            break
-        if len(settled) > state_limit:
-            raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
-        d = dist[state]
-        if pos < n:
-            label = word[pos]
-            nxt_sid = step(sid, label)
-            if nxt_sid != empty:
-                nxt = nxt_sid * width + pos + 1
-                if nxt not in settled:
-                    old = dist.get(nxt)
-                    if old is None or d < old:
-                        dist[nxt] = d
-                        parent[nxt] = (state, label)
-                        counter += 1
-                        heappush(heap, (d * width + hw[pos + 1], counter, nxt))
-            nxt = state + 1
-            if nxt not in settled:
-                new = d + model_radix
-                old = dist.get(nxt)
-                if old is None or new < old:
-                    dist[nxt] = new
-                    parent[nxt] = (state, None)
-                    counter += 1
-                    heappush(heap, (new * width + hw[pos + 1], counter, nxt))
-        moves = model_moves.get(sid)
-        if moves is None:
-            moves = model_moves[sid] = [(b, step(sid, b))
-                                        for b in sorted(rp.enabled_labels(sid))]
-        new = d + model_radix + 1
-        key = new * width + hw[pos]
-        for label, nxt_sid in moves:
-            nxt = nxt_sid * width + pos
-            if nxt not in settled:
-                old = dist.get(nxt)
-                if old is None or new < old:
-                    dist[nxt] = new
-                    parent[nxt] = (state, label)
-                    counter += 1
-                    heappush(heap, (key, counter, nxt))
-
-    if goal is None:
-        # every reachable state was settled within the limit: a definite no
-        raise LogliftError("final marking is not reachable from the initial marking")
-    labels: list[str] = []
-    state = goal
-    while state != start:
-        state, label = parent[state]
-        if label is not None:
-            labels.append(label)
-    labels.reverse()
-    return dist[goal] // model_radix, labels
+    (cost, _, _), path = align(word, rp, rp.set_successors, rp.start_set_id,
+                               rp._set_accepting.__getitem__, rp.state_limit)
+    return cost, [label for _, label, _ in path if label is not None]
 
 
 def evaluate(log: EventLog, net: AcceptingPetriNet,
@@ -196,20 +105,25 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
 
     One Replay of the net serves every alignment, the empty word's for the
     shortest visible run among them, and the precision marking sets. Each
-    alignment is a search over that Replay's marking sets, and a set step
-    interns every marking of its silent closure, so state_limit bounds the
-    markings the shared Replay interns, whole closures included, and also
-    the (marking set, log position) states each alignment settles. A
-    SearchLimitError from aligning a trace's word names the first case
-    with it.
+    alignment is petrinet.align over that Replay's marking sets, stepping
+    them through Replay.set_successors, and a set step interns every
+    marking of its silent closure, so state_limit bounds the markings the
+    shared Replay interns, whole closures included, and also the (marking
+    set, log position) states each alignment settles. A SearchLimitError
+    from aligning a trace's word names the first case with it; one from
+    the empty word's search says it was searching the shortest visible
+    run.
     """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
     rp = Replay(net, state_limit=state_limit)
-    model_moves: dict[int, list[tuple[str, int]]] = {}
-    minlen, _ = align_words((), rp, model_moves)
+    try:
+        minlen, _ = align_words((), rp)
+    except SearchLimitError as err:
+        raise SearchLimitError(
+            f"{err} (searching the shortest visible run of the model)") from err
 
     # prefix automaton of aligned visible model runs: a state per distinct
     # visible prefix, holding the Replay set of markings that prefix
@@ -224,7 +138,7 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
     total = 0
     for word, mult in words.items():
         try:
-            cost, run = align_words(word, rp, model_moves)
+            cost, run = align_words(word, rp)
         except SearchLimitError as err:
             case = next(t.case_id for t, w in zip(log, trace_words) if w == word)
             raise SearchLimitError(f"{err} (case {case})") from err

@@ -11,10 +11,11 @@ Nets are treated as immutable after construction; splice builds one by
 copying sub-nets into a host net still under construction.
 """
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import PatternError, SearchLimitError
+from .errors import LogliftError, PatternError, SearchLimitError
 
 DEFAULT_STATE_LIMIT = 100_000
 
@@ -123,6 +124,9 @@ class Replay:
       entries of the set's markings and closes them over their silent
       pairs, so it interns every successor of each marking it reaches,
       visible ones for other labels included.
+    - one successor entry per closed marking set (set_successors), shaped
+      like a marking's: no silent pairs, and a (label, next set) pair per
+      enabled label, so that align runs over sets as over markings.
     """
 
     def __init__(self, apn: AcceptingPetriNet, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -155,6 +159,7 @@ class Replay:
         self._set_accepting: list[bool] = []
         self._set_step: dict[tuple[int, str], int] = {}
         self._set_enabled: dict[int, frozenset[str]] = {}
+        self._set_succ: dict[int, tuple] = {}
         self._succ: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]],
                                     dict[str, list[tuple[int, int]]]]] = {}
 
@@ -266,6 +271,160 @@ class Replay:
                                for label in successors(mid)[2])
             self._set_enabled[sid] = cached
         return cached
+
+    def set_successors(self, sid: int):
+        """((), visible, visible by label) for a closed marking set: one
+        (label, step(sid, label)) pair per enabled label, in label order."""
+        entry = self._set_succ.get(sid)
+        if entry is None:
+            visible = [(b, self.step(sid, b)) for b in sorted(self.enabled_labels(sid))]
+            entry = self._set_succ[sid] = ((), visible,
+                                           {b: [(b, nxt)] for b, nxt in visible})
+        return entry
+
+
+# -------------------------------------------------------------- alignment
+
+def align(word, rp: Replay, successors, start: int, accepting, state_limit: int,
+          gap_oracle=None):
+    """Minimum-cost alignment of a word against a node graph of rp's net.
+
+    The nodes are markings (successors = rp.successors, from
+    rp.initial_id) or closed marking sets (rp.set_successors, from
+    rp.start_set_id); successors(node) gives (silent, visible, visible by
+    label) lists of (edge, next node) pairs. From node v at log position
+    pos, a synchronous move takes a pair of by_label[word[pos]] to
+    position pos + 1 at cost 0, a silent move a silent pair at cost 0, a
+    log move keeps v and goes to pos + 1 at cost 1, and a visible model
+    move takes a visible pair at cost 1. The goal is any node at position
+    n that accepting(node) holds for.
+
+    Lexicographically minimizes (total cost, gap moves, visible model
+    moves), where gap_oracle maps a node to the activities whose log move
+    counts as a gap move there (none without an oracle). A* pops states
+    in the order (total cost + heuristic, gap moves, visible model moves,
+    deepest log position first, first pushed first); successors are
+    pushed in the order sync, tau, log, visible model. Going deeper first
+    on ties keeps a zero-cost run through a concurrent net from expanding
+    every interleaving of its silent moves breadth-first. A log move is
+    always possible, so the search ends without an alignment only when no
+    accepting node is reachable: that raises LogliftError, while settling
+    more than state_limit states raises SearchLimitError.
+
+    A state (node, log position) is the int node * (n + 1) + position.
+    Each reached state records only its parent state and the edge taken
+    (None for a log move). Costs and heap keys are single ints in exact
+    mixed radices, so comparing two ints compares the tuples they encode.
+    A cost vector (cost, gap moves, visible model moves) is packed as
+    (cost * (n + 1) + gap moves) * M + model moves, with M = state_limit +
+    2: gap moves are log moves, so at most n, and the model moves on a path
+    are at most the states settled before it ends, so at most state_limit +
+    1. A state at log position pos with packed cost d has the pop key d *
+    (n + 1) + hw[pos], where hw[pos] = foreign_suffix[pos] * (n + 1) * M *
+    (n + 1) + n - pos adds the heuristic (the events the net can never
+    mirror) to the cost digit and puts deeper positions first. Heap
+    entries are (key, push counter, state); only the goal's cost is
+    decoded.
+
+    Returns the cost vector and the path as (log position, edge, advanced)
+    steps, advanced telling whether the step consumed the event at that
+    position.
+    """
+    heappush, heappop = heapq.heappush, heapq.heappop
+    n = len(word)
+    width = n + 1
+    alphabet = set(rp.labels) - {None}
+    # admissible heuristic: events the net cannot ever mirror must be log moves
+    foreign_suffix = [0] * width
+    for i in range(n - 1, -1, -1):
+        foreign_suffix[i] = foreign_suffix[i + 1] + (0 if word[i] in alphabet else 1)
+    model_radix = state_limit + 2
+    cost_unit = width * model_radix
+    hw = [foreign_suffix[pos] * cost_unit * width + n - pos for pos in range(width)]
+
+    start *= width
+    dist: dict[int, int] = {start: 0}
+    parent: dict[int, tuple] = {}
+    counter = 0
+    heap = [(hw[0], 0, start)]
+    settled: set[int] = set()
+    goal = None
+
+    while heap:
+        _, _, state = heappop(heap)
+        if state in settled:
+            continue
+        settled.add(state)
+        node, pos = divmod(state, width)
+        if pos == n and accepting(node):
+            goal = state
+            break
+        if len(settled) > state_limit:
+            raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
+        d = dist[state]
+        silent, visible, by_label = successors(node)
+        if pos < n:
+            # sync moves
+            nxt_pos = pos + 1
+            key = d * width + hw[nxt_pos]
+            for edge, v in by_label.get(word[pos], ()):
+                nxt = v * width + nxt_pos
+                if nxt not in settled:
+                    old = dist.get(nxt)
+                    if old is None or d < old:
+                        dist[nxt] = d
+                        parent[nxt] = (state, edge)
+                        counter += 1
+                        heappush(heap, (key, counter, nxt))
+        key = d * width + hw[pos]
+        for edge, v in silent:
+            nxt = v * width + pos
+            if nxt not in settled:
+                old = dist.get(nxt)
+                if old is None or d < old:
+                    dist[nxt] = d
+                    parent[nxt] = (state, edge)
+                    counter += 1
+                    heappush(heap, (key, counter, nxt))
+        if pos < n:
+            # log move
+            nxt = state + 1
+            if nxt not in settled:
+                new = d + cost_unit
+                if gap_oracle is not None and word[pos] in gap_oracle(node):
+                    new += model_radix
+                old = dist.get(nxt)
+                if old is None or new < old:
+                    dist[nxt] = new
+                    parent[nxt] = (state, None)
+                    counter += 1
+                    heappush(heap, (new * width + hw[pos + 1], counter, nxt))
+        new = d + cost_unit + 1
+        key = new * width + hw[pos]
+        for edge, v in visible:
+            nxt = v * width + pos
+            if nxt not in settled:
+                old = dist.get(nxt)
+                if old is None or new < old:
+                    dist[nxt] = new
+                    parent[nxt] = (state, edge)
+                    counter += 1
+                    heappush(heap, (key, counter, nxt))
+
+    if goal is None:
+        # every reachable state was settled within the limit: a definite no
+        raise LogliftError("final marking is not reachable from the initial marking")
+    path = []
+    state = goal
+    while state != start:
+        prev, edge = parent[state]
+        pos = prev % width
+        path.append((pos, edge, state % width > pos))
+        state = prev
+    path.reverse()
+    cost, rest = divmod(dist[goal], cost_unit)
+    gaps, model = divmod(rest, model_radix)
+    return (cost, gaps, model), path
 
 
 # ------------------------------------------------------------- acceptance

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-import loglift.abstraction
+import loglift.petrinet
 from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError, Replay,
                      SearchLimitError, abstract_log, abstract_trace, compose,
                      derive_lifecycle, language_upto, leaf, make_lpm,
@@ -269,7 +269,8 @@ def test_abstraction_is_invariant_under_pattern_renaming():
 
 def test_align_goes_deep_on_zero_cost_ties(monkeypatch):
     # six concurrent loops with silent redo: every (position, marking) pair
-    # on the way ties at cost 0; breadth-first tie order pops 10,821 states
+    # on the way ties at cost 0; breadth-first tie order pops 10,821 states.
+    # The search is petrinet.align, so its pops are counted there.
     pops = 0
 
     def counting_pop(heap):
@@ -277,14 +278,14 @@ def test_align_goes_deep_on_zero_cost_ties(monkeypatch):
         pops += 1
         return heapq.heappop(heap)
 
-    monkeypatch.setattr(loglift.abstraction, "heapq",
+    monkeypatch.setattr(loglift.petrinet, "heapq",
                         types.SimpleNamespace(heappush=heapq.heappush,
                                               heappop=counting_pop))
     net = tree_to_net(parse_tree(
         "and(" + ",".join(f"loop({a},tau)" for a in "abcdef") + ")"))
     alignment = align_words(list("abcdef" * 3), net)
     assert alignment.cost_vector == (0, 0, 0)
-    assert pops < 2000
+    assert 0 < pops < 2000
 
 
 def test_abstract_log_search_limit_names_case():

@@ -69,3 +69,22 @@ def test_package_imports_only_the_standard_library():
             outside += [(path.name, n) for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_modules_use_every_module_level_import():
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in bound.items()
+                   if name not in used]
+    assert unused == []

@@ -288,6 +288,19 @@ def test_evaluate_search_limit_names_first_case_of_word():
         evaluate(log, apn, state_limit=20)
 
 
+def test_evaluate_search_limit_names_the_shortest_visible_run_search():
+    # at these limits the Replay builds, but aligning the empty word (the
+    # shortest visible run) interns more markings than allowed, before any
+    # trace is aligned
+    apn = tree_to_net(parse_tree("and(a,b,c)"))
+    log = EventLog(traces=[mk_trace("abc", case_id="fits")])
+    for state_limit in range(6, 10):
+        with pytest.raises(SearchLimitError,
+                           match=r"\(searching the shortest visible run of the model\)$"):
+            evaluate(log, apn, state_limit=state_limit)
+    assert evaluate(log, apn, state_limit=10).trace_costs == [0]
+
+
 def test_unreachable_final_marking_is_a_no_not_a_search_limit(tmp_path, capsys):
     # the final marking {q, r} is unreachable: a search that settles every
     # reachable state within the limit answers "no", not "could not decide"

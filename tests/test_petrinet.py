@@ -4,6 +4,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
+import loglift.conformance
 from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
                      abstract_log, abstract_trace, accepts, align_words, evaluate,
                      language_upto, make_lpm, parse_pnml, parse_tree,
@@ -61,8 +62,9 @@ def brute_closure(rp, m):
 
 def check_replay_caches(rp):
     """enabled_ts and the successor entry of every marking the replay has
-    interned, its start set and every set step it has taken, against
-    brute-force scans over all transitions."""
+    interned, its start set, every set step it has taken and every set
+    successor entry it has built, against brute-force scans over all
+    transitions."""
     for mid in range(len(rp._marks)):
         m = rp._marks[mid]
         enabled = brute_enabled(rp, m)
@@ -79,14 +81,24 @@ def check_replay_caches(rp):
     def dense_set(sid):
         return {rp._marks[mid] for mid in rp._sets[sid]}
 
-    assert dense_set(rp.start_set_id) == brute_closure(rp, rp._marks[rp.initial_id])
-    for (sid, activity), out in rp._set_step.items():
+    def brute_step(sid, activity):
         want = set()
         for m in dense_set(sid):
             for t in brute_enabled(rp, m):
                 if rp.labels[t] == activity:
                     want |= brute_closure(rp, brute_fire(rp, m, t))
-        assert dense_set(out) == want, activity
+        return want
+
+    assert dense_set(rp.start_set_id) == brute_closure(rp, rp._marks[rp.initial_id])
+    for (sid, activity), out in rp._set_step.items():
+        assert dense_set(out) == brute_step(sid, activity), activity
+    for sid, (silent, visible, by_label) in rp._set_succ.items():
+        assert silent == ()
+        labels = sorted({rp.labels[t] for m in dense_set(sid) for t in brute_enabled(rp, m)}
+                        - {None})
+        assert [b for b, _ in visible] == labels
+        assert [dense_set(nxt) for _, nxt in visible] == [brute_step(sid, b) for b in labels]
+        assert by_label == {b: [(b, nxt)] for b, nxt in visible}
 
 
 def step_words(rp, words):
@@ -98,7 +110,15 @@ def step_words(rp, words):
 
 
 @pytest.mark.parametrize("composition", ["interleaving", "parallel"])
-def test_replay_caches_match_brute_force_on_aligned_markings(composition):
+def test_replay_caches_match_brute_force_on_aligned_markings(composition, monkeypatch):
+    # evaluate aligns over marking sets: check the Replays it builds too
+    built = []
+
+    def recording(apn, state_limit):
+        built.append(Replay(apn, state_limit=state_limit))
+        return built[-1]
+
+    monkeypatch.setattr(loglift.conformance, "Replay", recording)
     log, nets = planted_alignment_cases(composition)
     for name, net in nets.items():
         if name == "abstraction":
@@ -109,10 +129,14 @@ def test_replay_caches_match_brute_force_on_aligned_markings(composition):
             rp = Replay(net)
             for trace in log:
                 align_words(complete_word(trace), net, replay=rp)
+            evaluate(log, net)
+            assert built[-1]._set_succ, name
+            check_replay_caches(built[-1])
         step_words(rp, [complete_word(t) for t in log])
         assert len(rp._marks) > 1, name
         assert rp._set_step, name
         check_replay_caches(rp)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("composition", ["interleaving", "parallel"])
