@@ -7,10 +7,12 @@ completion). Patterns are composed into one abstraction model, the trace is
 aligned against that model, and every matched pattern occurrence is
 replaced by one high-level event.
 
-The trace is aligned by petrinet.align, the one A* alignment search,
-run here over the markings of the composed net (conformance runs it over
-marking sets). Alignment move costs: synchronous and silent model moves
-are free, log moves and visible model moves cost one. Minimum total cost
+Each trace is aligned by petrinet.align, the one A* alignment search,
+run here over the markings of one Replay of the composed net
+(conformance runs it over marking sets). The Replay's state limit bounds
+both the markings it interns and the states each alignment settles.
+Alignment move costs: synchronous and silent model moves are free, log
+moves and visible model moves cost one. Minimum total cost
 alone does not pin down the occurrence structure, so ties break
 lexicographically: first fewest gap moves (log moves of an activity that
 belongs to a pattern with an occurrence currently open; an occurrence is
@@ -32,7 +34,7 @@ from functools import cached_property
 
 from .errors import PatternError, SearchLimitError
 from .eventlog import COMPLETE, START, Event, EventLog, Trace
-from .lpm import LocalProcessModel, ProcessTree
+from .lpm import LocalProcessModel
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay, align, splice)
 
@@ -44,6 +46,9 @@ SYNC = "sync"
 LOG = "log"
 MODEL = "model"
 TAU = "tau"
+
+# roles of the silent transitions entering and leaving a pattern's copy
+OPEN, CLOSE = "open", "close"
 
 
 def derive_lifecycle(apn: AcceptingPetriNet) -> dict[str, str]:
@@ -71,7 +76,6 @@ class ActivityPattern:
     name: str
     net: AcceptingPetriNet
     lifecycle: dict[str, str]
-    tree: ProcessTree | None = None
 
     @cached_property
     def activities(self) -> frozenset[str]:
@@ -80,7 +84,7 @@ class ActivityPattern:
 
 def make_pattern(name: str, model: LocalProcessModel) -> ActivityPattern:
     return ActivityPattern(name=name, net=model.net,
-                           lifecycle=derive_lifecycle(model.net), tree=model.tree)
+                           lifecycle=derive_lifecycle(model.net))
 
 
 def patterns_from_models(models, prefix: str = "LPM_") -> list[ActivityPattern]:
@@ -108,10 +112,10 @@ class Alignment:
 class AbstractionModel:
     net: AcceptingPetriNet
     patterns: list[ActivityPattern]
-    composition: str
-    instance_tags: dict[str, tuple[str, str | None]] = field(default_factory=dict)
-    open_taus: dict[str, str] = field(default_factory=dict)
-    close_taus: dict[str, str] = field(default_factory=dict)
+    # transition id -> (pattern name, role): OPEN or CLOSE for the silent
+    # transitions around a pattern's copy, the pattern's lifecycle role
+    # (START, COMPLETE or None) for a transition inside it
+    roles: dict[str, tuple[str, str | None]]
 
     @property
     def pattern_alphabet(self) -> frozenset[str]:
@@ -120,14 +124,8 @@ class AbstractionModel:
 
     def transition_tags(self) -> dict[str, str]:
         """Annotation strings for PNML export."""
-        out = {}
-        for t, (name, role) in self.instance_tags.items():
-            out[t] = f"pattern={name};role={role if role else '-'}"
-        for t, name in self.open_taus.items():
-            out[t] = f"pattern={name};role=open"
-        for t, name in self.close_taus.items():
-            out[t] = f"pattern={name};role=close"
-        return out
+        return {t: f"pattern={name};role={role or '-'}"
+                for t, (name, role) in self.roles.items()}
 
 
 def _prefix(name: str) -> str:
@@ -153,9 +151,7 @@ def compose(patterns: list[ActivityPattern], composition: str = INTERLEAVING) ->
 
     host = PetriNet(places={"src", "snk"}, transitions={"begin", "end"},
                     arcs={("src", "begin"), ("end", "snk")})
-    tags: dict[str, tuple[str, str | None]] = {}
-    open_taus: dict[str, str] = {}
-    close_taus: dict[str, str] = {}
+    roles: dict[str, tuple[str, str | None]] = {}
     for pattern in patterns:
         name = pattern.name
         hub = "hub" if composition == INTERLEAVING else f"hub__{name}"
@@ -165,15 +161,14 @@ def compose(patterns: list[ActivityPattern], composition: str = INTERLEAVING) ->
         host.arcs.update({("begin", hub), (hub, "end")})
         prefix, t_open, t_close = _prefix(name), f"open__{name}", f"close__{name}"
         splice(host, pattern.net, prefix, name, [hub], [hub], t_open, t_close)
-        tags.update((prefix + t, (name, pattern.lifecycle.get(t)))
-                    for t in pattern.net.net.transitions)
-        open_taus[t_open] = name
-        close_taus[t_close] = name
+        roles.update((prefix + t, (name, pattern.lifecycle.get(t)))
+                     for t in pattern.net.net.transitions)
+        roles[t_open] = (name, OPEN)
+        roles[t_close] = (name, CLOSE)
 
     apn = AcceptingPetriNet(net=host, initial={"src": 1}, final={"snk": 1})
     apn.validate()
-    return AbstractionModel(net=apn, patterns=list(patterns), composition=composition,
-                            instance_tags=tags, open_taus=open_taus, close_taus=close_taus)
+    return AbstractionModel(net=apn, patterns=list(patterns), roles=roles)
 
 
 # ---------------------------------------------------------------- aligner
@@ -208,25 +203,22 @@ class _GapOracle:
         return got
 
 
-def align_words(events: list[str], apn: AcceptingPetriNet,
-                state_limit: int = DEFAULT_STATE_LIMIT,
-                replay: Replay | None = None,
-                gap_oracle=None) -> Alignment:
-    """Minimum-cost alignment of an activity sequence against a net.
+def align_words(events, rp: Replay, gap_oracle=None) -> Alignment:
+    """Minimum-cost alignment of an activity sequence against rp's net.
 
-    petrinet.align over the replay's markings, from the initial marking to
-    the final one: it lexicographically minimizes (total cost, gap moves,
+    petrinet.align over rp's markings, from the initial marking to the
+    final one: it lexicographically minimizes (total cost, gap moves,
     visible model moves), gap_oracle mapping a marking id to the
     activities whose log move counts as a gap move there (none without an
     oracle, as for plain nets). Its path becomes the moves. An unreachable
-    final marking raises LogliftError; settling more than state_limit
-    states raises SearchLimitError. The empty word's alignment costs the
-    net's shortest visible run.
+    final marking raises LogliftError; settling more than rp.state_limit
+    states, or rp interning more than that many markings, raises
+    SearchLimitError. The empty word's alignment costs the net's shortest
+    visible run.
     """
-    rp = replay if replay is not None else Replay(apn, state_limit=state_limit)
     final = rp.final_id
     cost_vector, path = align(events, rp, rp.successors, rp.initial_id,
-                              lambda mid: mid == final, state_limit, gap_oracle)
+                              lambda mid: mid == final, gap_oracle)
     moves: list[AlignmentMove] = []
     for pos, t, advanced in path:
         if t is None:
@@ -252,38 +244,15 @@ class _Instance:
     complete_modeled: bool = False
 
 
-def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = False,
-                   state_limit: int = DEFAULT_STATE_LIMIT,
-                   replay: Replay | None = None, gap_oracle=None) -> Trace:
-    """Replace matched pattern occurrences by high-level events.
-
-    Emits one complete event per reported occurrence (and a start event
-    when the occurrence's starting transition fired synchronously). Log
-    moves over pattern activities stay as low-level events; events of
-    demoted occurrences stay too. Foreign events (outside every pattern
-    alphabet) are dropped unless keep_foreign is set. A SearchLimitError
-    from the alignment names the trace's case id.
-    """
-    if replay is None:
-        replay = Replay(model.net, state_limit=state_limit)
-    if gap_oracle is None:
-        gap_oracle = _GapOracle(model, replay)
-    originals = [e for e in trace.events if e.is_complete()]
-    words = [e.activity for e in originals]
-    try:
-        alignment = align_words(words, model.net, state_limit=state_limit,
-                                replay=replay, gap_oracle=gap_oracle)
-    except SearchLimitError as err:
-        raise SearchLimitError(f"{err} (case {trace.case_id})") from err
+def _lift_trace(alignment: Alignment, originals: list[Event], model: AbstractionModel,
+                keep_foreign: bool) -> list[Event]:
+    """One trace's events lifted along the alignment of its originals."""
     alphabet = model.pattern_alphabet
-
+    # (log index, emission order, event): events at one index keep their order
     emitted: list[tuple[int, int, Event]] = []
-    order = 0
 
     def emit(index: int, event: Event):
-        nonlocal order
-        emitted.append((index, order, event))
-        order += 1
+        emitted.append((index, len(emitted), event))
 
     open_instances: dict[str, _Instance] = {}
 
@@ -303,18 +272,16 @@ def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = F
             if move.activity in alphabet or keep_foreign:
                 emit(move.log_index, originals[move.log_index])
             continue
-        t = move.transition
-        if t in model.open_taus:
-            name = model.open_taus[t]
+        name, role = model.roles.get(move.transition, (None, None))
+        if role == OPEN:
             if name in open_instances:
                 raise PatternError(f"overlapping occurrences of pattern {name}")
             open_instances[name] = _Instance(pattern=name)
-        elif t in model.close_taus:
-            inst = open_instances.pop(model.close_taus[t], None)
+        elif role == CLOSE:
+            inst = open_instances.pop(name, None)
             if inst is not None:
                 finalize(inst)
-        elif t in model.instance_tags:
-            name, role = model.instance_tags[t]
+        elif name is not None:
             inst = open_instances.get(name)
             if inst is None:
                 continue
@@ -329,14 +296,42 @@ def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = F
         finalize(inst)
 
     emitted.sort(key=lambda item: (item[0], item[1]))
-    return Trace(case_id=trace.case_id, events=[e for _, _, e in emitted])
+    return [e for _, _, e in emitted]
 
 
 def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = False,
                  state_limit: int = DEFAULT_STATE_LIMIT) -> EventLog:
-    rp = Replay(model.net, state_limit=state_limit)
-    oracle = _GapOracle(model, rp)
-    return EventLog(traces=[abstract_trace(t, model, keep_foreign=keep_foreign,
-                                           state_limit=state_limit, replay=rp,
-                                           gap_oracle=oracle)
-                            for t in log])
+    """Replace matched pattern occurrences by high-level events.
+
+    One Replay of the model's net, with state_limit, and one gap oracle
+    over it align every trace's complete word. Emits one complete event
+    per reported occurrence (and a start event when the occurrence's
+    starting transition fired synchronously). Log moves over pattern
+    activities stay as low-level events; events of demoted occurrences
+    stay too. Foreign events (outside every pattern alphabet) are dropped
+    unless keep_foreign is set. A SearchLimitError says it was building
+    the Replay, or names the case whose alignment hit the limit.
+    """
+    try:
+        rp = Replay(model.net, state_limit=state_limit)
+    except SearchLimitError as err:
+        raise SearchLimitError(
+            f"{err} (building the Replay of the abstraction model)") from err
+    gap_oracle = _GapOracle(model, rp)
+    traces = []
+    for trace in log:
+        originals = [e for e in trace.events if e.is_complete()]
+        try:
+            alignment = align_words([e.activity for e in originals], rp, gap_oracle)
+        except SearchLimitError as err:
+            raise SearchLimitError(f"{err} (case {trace.case_id})") from err
+        traces.append(Trace(case_id=trace.case_id,
+                            events=_lift_trace(alignment, originals, model, keep_foreign)))
+    return EventLog(traces=traces)
+
+
+def abstract_trace(trace: Trace, model: AbstractionModel, keep_foreign: bool = False,
+                   state_limit: int = DEFAULT_STATE_LIMIT) -> Trace:
+    """abstract_log of the one-trace log holding trace, on a Replay of its own."""
+    return abstract_log(EventLog(traces=[trace]), model, keep_foreign=keep_foreign,
+                        state_limit=state_limit).traces[0]

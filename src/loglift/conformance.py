@@ -18,14 +18,15 @@ view of Munoz-Gama & Carmona, BPM 2010).
 
 Alignments run over Replay's marking sets, not over markings: they are
 petrinet.align, the A* the abstraction runs over markings, fed each set's
-successor entry (Replay.set_successors). Synchronous and silent moves are
-free and log and visible model moves cost one, so a cost depends only on
-the visible moves, and the cheapest alignment of a word is a cheapest
-path in the subset automaton: a log move keeps the set, a synchronous or
-visible model move on a label steps the set by it, and the goal is the
-whole word read in a set holding the final marking. The silent
-interleavings of a concurrent net, which a marking-level search expands
-one by one, never become states.
+successor entry (Replay.set_successors); that Replay's state limit bounds
+its markings and the states each search settles. Synchronous and silent
+moves are free and log and visible model moves cost one, so a cost
+depends only on the visible moves, and the cheapest alignment of a word
+is a cheapest path in the subset automaton: a log move keeps the set, a
+synchronous or visible model move on a label steps the set by it, and the
+goal is the whole word read in a set holding the final marking. The
+silent interleavings of a concurrent net, which a marking-level search
+expands one by one, never become states.
 """
 
 from collections import Counter
@@ -91,11 +92,11 @@ def align_words(word, rp: Replay) -> tuple[int, list[str]]:
     and its synchronous or model move on a label steps it by that label.
     It keeps the name align_words here so that a profiler wrapping this
     module's align_words times it. An exhausted search is a definite no
-    (LogliftError); settling more than rp.state_limit states raises
-    SearchLimitError.
+    (LogliftError); settling more than rp.state_limit states, or rp
+    interning more than that many markings, raises SearchLimitError.
     """
     (cost, _, _), path = align(word, rp, rp.set_successors, rp.start_set_id,
-                               rp._set_accepting.__getitem__, rp.state_limit)
+                               rp._set_accepting.__getitem__)
     return cost, [label for _, label, _ in path if label is not None]
 
 
@@ -110,15 +111,18 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
     marking of its silent closure, so state_limit bounds the markings the
     shared Replay interns, whole closures included, and also the (marking
     set, log position) states each alignment settles. A SearchLimitError
-    from aligning a trace's word names the first case with it; one from
-    the empty word's search says it was searching the shortest visible
-    run.
+    from building the Replay says so; one from aligning a trace's word
+    names the first case with it; one from the empty word's search says
+    it was searching the shortest visible run.
     """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
-    rp = Replay(net, state_limit=state_limit)
+    try:
+        rp = Replay(net, state_limit=state_limit)
+    except SearchLimitError as err:
+        raise SearchLimitError(f"{err} (building the Replay of the model)") from err
     try:
         minlen, _ = align_words((), rp)
     except SearchLimitError as err:

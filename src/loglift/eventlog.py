@@ -323,7 +323,7 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str | None = N
 
 def load_log(path: str, case_col: str = "case", activity_col: str = "activity",
              time_col: str | None = None) -> EventLog:
-    """Load a log file, picking the parser from the file extension."""
-    if path.endswith(".csv"):
+    """Load a log file: CSV for a .csv extension in any case, else XES."""
+    if path.lower().endswith(".csv"):
         return parse_csv(path, case_col, activity_col, time_col)
     return parse_xes(path)

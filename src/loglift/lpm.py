@@ -566,8 +566,7 @@ def _backward(rp: Replay, apn: AcceptingPetriNet) -> _ForwardCoverage:
     return coverage
 
 
-def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMIT,
-            replay: Replay | None = None) -> Segmentation:
+def segment(trace, lpm: LocalProcessModel, replay: Replay | None = None) -> Segmentation:
     """Split a trace (projected onto the model's activities) into accepted
     runs and leftover segments, maximizing the events inside accepted runs.
 
@@ -578,9 +577,10 @@ def segment(trace, lpm: LocalProcessModel, state_limit: int = DEFAULT_STATE_LIMI
     is the forward coverage pass's running total over the reversed
     projection on the reversed net. From each position p, a walk on the
     replay takes the shortest accepted run to a j with (j - p) + best[j]
-    == best[p], if there is one.
+    == best[p], if there is one. replay (a Replay of lpm.net, whose limit
+    bounds both passes) defaults to one with the default state limit.
     """
-    rp = replay if replay is not None else Replay(lpm.net, state_limit=state_limit)
+    rp = replay if replay is not None else Replay(lpm.net)
     acts = lpm.activities
     projected = [a for a in complete_word(trace) if a in acts]
     best = _backward(rp, lpm.net).running(reversed(projected))[::-1]

@@ -285,8 +285,7 @@ class Replay:
 
 # -------------------------------------------------------------- alignment
 
-def align(word, rp: Replay, successors, start: int, accepting, state_limit: int,
-          gap_oracle=None):
+def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
     """Minimum-cost alignment of a word against a node graph of rp's net.
 
     The nodes are markings (successors = rp.successors, from
@@ -309,15 +308,15 @@ def align(word, rp: Replay, successors, start: int, accepting, state_limit: int,
     every interleaving of its silent moves breadth-first. A log move is
     always possible, so the search ends without an alignment only when no
     accepting node is reachable: that raises LogliftError, while settling
-    more than state_limit states raises SearchLimitError.
+    more than rp.state_limit states raises SearchLimitError.
 
     A state (node, log position) is the int node * (n + 1) + position.
     Each reached state records only its parent state and the edge taken
     (None for a log move). Costs and heap keys are single ints in exact
     mixed radices, so comparing two ints compares the tuples they encode.
     A cost vector (cost, gap moves, visible model moves) is packed as
-    (cost * (n + 1) + gap moves) * M + model moves, with M = state_limit +
-    2: gap moves are log moves, so at most n, and the model moves on a path
+    (cost * (n + 1) + gap moves) * M + model moves, with M = rp.state_limit
+    + 2: gap moves are log moves, so at most n, and the model moves on a path
     are at most the states settled before it ends, so at most state_limit +
     1. A state at log position pos with packed cost d has the pop key d *
     (n + 1) + hw[pos], where hw[pos] = foreign_suffix[pos] * (n + 1) * M *
@@ -338,6 +337,7 @@ def align(word, rp: Replay, successors, start: int, accepting, state_limit: int,
     foreign_suffix = [0] * width
     for i in range(n - 1, -1, -1):
         foreign_suffix[i] = foreign_suffix[i + 1] + (0 if word[i] in alphabet else 1)
+    state_limit = rp.state_limit
     model_radix = state_limit + 2
     cost_unit = width * model_radix
     hw = [foreign_suffix[pos] * cost_unit * width + n - pos for pos in range(width)]

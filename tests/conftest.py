@@ -167,5 +167,5 @@ def align_trace(trace, net):
     word = complete_word(trace)
     if isinstance(net, AbstractionModel):
         rp = Replay(net.net)
-        return align_words(word, net.net, replay=rp, gap_oracle=_GapOracle(net, rp))
-    return align_words(word, net)
+        return align_words(word, rp, _GapOracle(net, rp))
+    return align_words(word, Replay(net))

@@ -13,7 +13,7 @@ from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError, Replay,
                      tree_to_net)
 from loglift.abstraction import align_words
 from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, align_trace,
-                      all_words, mk_log, mk_trace)
+                      all_words, mk_log, mk_trace, planted_alignment_cases)
 
 
 def pattern(text, name="H"):
@@ -130,10 +130,10 @@ def test_align_golden_cost_vector(n1_model):
 
 
 def test_align_plain_net_has_no_gap_component(n1_lpm):
-    a = align_words(["B", "B", "C"], n1_lpm.net)
+    a = align_words(["B", "B", "C"], Replay(n1_lpm.net))
     assert a.cost == 0
     assert a.cost_vector == (0, 0, 0)
-    b = align_words(["B", "X", "C"], n1_lpm.net)
+    b = align_words(["B", "X", "C"], Replay(n1_lpm.net))
     assert b.cost == 1
     assert b.cost_vector[1] == 0
 
@@ -155,23 +155,22 @@ def test_align_empty_trace(n1_model):
 
 def test_align_empty_word_costs_the_shortest_run():
     # evaluate's shortest visible run: silent firings are free
-    assert align_words((), tree_to_net(parse_tree(N1_TEXT))).cost == 2
-    assert align_words((), tree_to_net(parse_tree("xor(a,tau)"))).cost == 0
-    assert align_words((), tree_to_net(parse_tree("and(a,b,c)"))).cost == 3
+    assert align_words((), Replay(tree_to_net(parse_tree(N1_TEXT)))).cost == 2
+    assert align_words((), Replay(tree_to_net(parse_tree("xor(a,tau)")))).cost == 0
+    assert align_words((), Replay(tree_to_net(parse_tree("and(a,b,c)")))).cost == 3
 
 
 def test_align_cost_vector_at_the_model_move_radix_edge():
     # the empty word against a 30-step sequence is 30 visible model moves
-    # over 31 markings; with the Replay's own limit out of the way, 30 is
-    # the smallest state limit the aligner succeeds with (the goal is the
-    # 31st settled state), so the model moves equal the limit and come
-    # within one of the radix the cost vector is packed with
+    # over 31 markings, so 31 is the smallest state limit its Replay
+    # interns them all with; the model moves then come within three of
+    # the radix (state limit + 2) the cost vector is packed with
     net = tree_to_net(seq(*[leaf(f"a{i:02d}") for i in range(30)]))
-    a = align_words([], net, state_limit=30, replay=Replay(net))
+    a = align_words([], Replay(net, state_limit=31))
     assert a.cost_vector == (30, 0, 30)
     assert a.cost == 30
-    with pytest.raises(SearchLimitError, match="during alignment"):
-        align_words([], net, state_limit=29, replay=Replay(net))
+    with pytest.raises(SearchLimitError, match="exploring markings"):
+        align_words([], Replay(net, state_limit=30))
 
 
 # -------------------------------------------------------------- abstraction
@@ -283,7 +282,7 @@ def test_align_goes_deep_on_zero_cost_ties(monkeypatch):
                                               heappop=counting_pop))
     net = tree_to_net(parse_tree(
         "and(" + ",".join(f"loop({a},tau)" for a in "abcdef") + ")"))
-    alignment = align_words(list("abcdef" * 3), net)
+    alignment = align_words(list("abcdef" * 3), Replay(net))
     assert alignment.cost_vector == (0, 0, 0)
     assert 0 < pops < 2000
 
@@ -294,3 +293,26 @@ def test_abstract_log_search_limit_names_case():
                            mk_trace("abcabcabc", case_id="long-7")])
     with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
         abstract_log(log, model, state_limit=20)
+
+
+def test_abstract_log_search_limit_names_the_replay_build():
+    # below 8 the limit is hit while the Replay of the model is built,
+    # before any trace is aligned
+    model = compose([pattern("and(a,b,c)", "P")], PARALLEL)
+    log = EventLog(traces=[mk_trace("abc", case_id="fits")])
+    for state_limit in range(1, 8):
+        with pytest.raises(SearchLimitError,
+                           match=r"\(building the Replay of the abstraction model\)$"):
+            abstract_log(log, model, state_limit=state_limit)
+    with pytest.raises(SearchLimitError, match=r"\(case fits\)$"):
+        abstract_log(log, model, state_limit=8)
+
+
+@pytest.mark.parametrize("composition", [INTERLEAVING, PARALLEL])
+def test_abstract_trace_is_abstract_log_of_one_trace(composition):
+    log, nets = planted_alignment_cases(composition)
+    model = nets["abstraction"]
+    for keep_foreign in (False, True):
+        lifted = abstract_log(log, model, keep_foreign=keep_foreign)
+        assert [abstract_trace(t, model, keep_foreign=keep_foreign) for t in log] \
+            == lifted.traces, keep_foreign

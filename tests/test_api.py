@@ -8,6 +8,7 @@ unnoticed.
 
 import ast
 import importlib
+import inspect
 import json
 import sys
 from dataclasses import fields
@@ -26,6 +27,18 @@ BENCH_MODULES = {"ll": "loglift", "loglift": "loglift",
 
 def test_all_names_resolve():
     assert [n for n in loglift.__all__ if not hasattr(loglift, n)] == []
+
+
+def test_no_public_callable_takes_both_a_replay_and_a_state_limit():
+    # a Replay carries its own state limit: a function takes either a net
+    # and a limit, or a Replay (exception classes have no signature)
+    callables = [(name, obj) for name in loglift.__all__
+                 if inspect.isfunction(obj := getattr(loglift, name))
+                 or inspect.isclass(obj) and not issubclass(obj, BaseException)]
+    assert callables
+    both = [name for name, obj in callables
+            if {"replay", "state_limit"} <= set(inspect.signature(obj).parameters)]
+    assert both == []
 
 
 def test_bench_wrapped_attributes_exist():

@@ -199,7 +199,7 @@ def brute_force_precision(words, apn, max_len=6):
     weight: Counter = Counter()
     taken = defaultdict(set)
     for word in words:
-        moves = align_words(list(word), apn).moves
+        moves = align_words(list(word), Replay(apn)).moves
         run = tuple(m.activity for m in moves if m.kind in (SYNC, MODEL))
         for i in range(len(run) + 1):
             weight[run[:i]] += 1
@@ -262,7 +262,7 @@ def test_set_search_costs_equal_marking_search_costs():
     for name, apn, max_len in set_search_cases():
         words = all_words(sorted(apn.alphabet()) + ["x"], max_len)
         rp = Replay(apn)
-        want = [align_words(list(w), apn, replay=rp).cost for w in words]
+        want = [align_words(list(w), rp).cost for w in words]
         assert words[0] == ()
         assert evaluate(mk_log(words), apn).trace_costs == want, name
 
@@ -274,9 +274,9 @@ def test_set_search_settles_within_a_limit_the_marking_search_exceeds():
     apn = tree_to_net(parse_tree(AND_OF_LOOPS))
     word = "aaaaaaaa"
     with pytest.raises(SearchLimitError, match="during alignment"):
-        align_words(list(word), apn, state_limit=1000)
+        align_words(list(word), Replay(apn, state_limit=1000))
     report = evaluate(mk_log([word]), apn, state_limit=1000)
-    assert report.trace_costs == [align_words(list(word), apn).cost]
+    assert report.trace_costs == [align_words(list(word), Replay(apn)).cost]
 
 
 def test_evaluate_search_limit_names_first_case_of_word():
@@ -286,6 +286,16 @@ def test_evaluate_search_limit_names_first_case_of_word():
                            mk_trace("aabbcc", case_id="long-8")])
     with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
         evaluate(log, apn, state_limit=20)
+
+
+def test_evaluate_search_limit_names_the_replay_build():
+    # below 6 the limit is hit while the Replay of the model is built
+    apn = tree_to_net(parse_tree("and(a,b,c)"))
+    log = EventLog(traces=[mk_trace("abc", case_id="fits")])
+    for state_limit in range(1, 6):
+        with pytest.raises(SearchLimitError,
+                           match=r"\(building the Replay of the model\)$"):
+            evaluate(log, apn, state_limit=state_limit)
 
 
 def test_evaluate_search_limit_names_the_shortest_visible_run_search():
@@ -308,7 +318,7 @@ def test_unreachable_final_marking_is_a_no_not_a_search_limit(tmp_path, capsys):
                    arcs={("p", "t"), ("t", "q")}, labels={"t": "a"})
     apn = AcceptingPetriNet(net=net, initial={"p": 1}, final={"q": 1, "r": 1})
     log = mk_log(["a"])
-    for run in (lambda: align_words(["a"], apn), lambda: evaluate(log, apn)):
+    for run in (lambda: align_words(["a"], Replay(apn)), lambda: evaluate(log, apn)):
         with pytest.raises(LogliftError, match="not reachable") as err:
             run()
         assert not isinstance(err.value, SearchLimitError)

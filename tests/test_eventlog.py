@@ -227,6 +227,12 @@ def test_load_log_dispatches_on_extension(tmp_path):
     assert load_log(str(xes_path)).traces[0].activities() == ["a", "b"]
 
 
+def test_load_log_reads_an_upper_case_csv_extension(tmp_path):
+    path = tmp_path / "log.CSV"
+    path.write_text("case,activity\n1,a\n1,b\n")
+    assert load_log(str(path)).traces[0].activities() == ["a", "b"]
+
+
 def test_write_xes_returns_bytes():
     data = write_xes(mk_log(["ab"]))
     assert isinstance(data, bytes)

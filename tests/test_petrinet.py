@@ -4,9 +4,10 @@ from collections import Counter, defaultdict
 
 import pytest
 
+import loglift.abstraction
 import loglift.conformance
 from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
-                     abstract_log, abstract_trace, accepts, align_words, evaluate,
+                     abstract_log, accepts, align_words, evaluate,
                      language_upto, make_lpm, parse_pnml, parse_tree,
                      save_pnml, tree_to_net, write_pnml)
 from loglift.eventlog import complete_word
@@ -111,24 +112,25 @@ def step_words(rp, words):
 
 @pytest.mark.parametrize("composition", ["interleaving", "parallel"])
 def test_replay_caches_match_brute_force_on_aligned_markings(composition, monkeypatch):
-    # evaluate aligns over marking sets: check the Replays it builds too
+    # abstract_log aligns over markings and evaluate over marking sets:
+    # check the Replays they build too
+    log, nets = planted_alignment_cases(composition)
     built = []
 
     def recording(apn, state_limit):
         built.append(Replay(apn, state_limit=state_limit))
         return built[-1]
 
+    monkeypatch.setattr(loglift.abstraction, "Replay", recording)
     monkeypatch.setattr(loglift.conformance, "Replay", recording)
-    log, nets = planted_alignment_cases(composition)
     for name, net in nets.items():
         if name == "abstraction":
-            rp = Replay(net.net)
-            for trace in log:
-                abstract_trace(trace, net, replay=rp)
+            abstract_log(log, net)
+            rp = built[-1]
         else:
             rp = Replay(net)
             for trace in log:
-                align_words(complete_word(trace), net, replay=rp)
+                align_words(complete_word(trace), rp)
             evaluate(log, net)
             assert built[-1]._set_succ, name
             check_replay_caches(built[-1])
@@ -136,7 +138,7 @@ def test_replay_caches_match_brute_force_on_aligned_markings(composition, monkey
         assert len(rp._marks) > 1, name
         assert rp._set_step, name
         check_replay_caches(rp)
-    assert len(built) == 2
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("composition", ["interleaving", "parallel"])
@@ -162,7 +164,7 @@ def test_each_marking_is_scanned_once(composition, monkeypatch):
             apn = net
         rp = Replay(apn)
         for word in words:
-            align_words(word, apn, replay=rp)
+            align_words(word, rp)
         step_words(rp, words)
         language_upto(apn, 3)
     assert len(scans) > 6
@@ -184,7 +186,7 @@ def test_replay_caches_match_brute_force_on_hand_nets():
         rp = Replay(apn)
         words = (["a", "b"], ["a", "a", "b"], ["b"], ["c", "a"])
         for word in words:
-            align_words(word, apn, replay=rp)
+            align_words(word, rp)
         step_words(rp, words)
         check_replay_caches(rp)
     rp = Replay(AcceptingPetriNet(net=unguarded, initial={}, final={"q": 1}))
