@@ -18,15 +18,17 @@ view of Munoz-Gama & Carmona, BPM 2010).
 
 Alignments run over Replay's marking sets, not over markings: they are
 petrinet.align, the A* the abstraction runs over markings, fed each set's
-successor entry (Replay.set_successors); that Replay's state limit bounds
-its markings and the states each search settles. Synchronous and silent
-moves are free and log and visible model moves cost one, so a cost
-depends only on the visible moves, and the cheapest alignment of a word
-is a cheapest path in the subset automaton: a log move keeps the set, a
-synchronous or visible model move on a label steps the set by it, and the
-goal is the whole word read in a set holding the final marking. The
-silent interleavings of a concurrent net, which a marking-level search
-expands one by one, never become states.
+successor entry (Replay.set_successors). The Replay is of the net with its
+silent transitions fused away (petrinet.reduce_silent), which has the
+same visible language and enabled labels after every prefix; its state
+limit bounds the reduced net's markings and the states each search
+settles. Synchronous and silent moves are free and log and visible model
+moves cost one, so a cost depends only on the visible moves, and the
+cheapest alignment of a word is a cheapest path in the subset automaton:
+a log move keeps the set, a synchronous or visible model move on a label
+steps the set by it, and the goal is the whole word read in a set holding
+the final marking. The silent interleavings of a concurrent net, which a
+marking-level search expands one by one, never become states.
 """
 
 from collections import Counter
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from .errors import SearchLimitError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
-                       Replay, align, splice)
+                       Replay, align, reduce_silent, splice)
 
 
 @dataclass
@@ -104,23 +106,25 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
     """Fitness, precision, and F-score in one pass (alignments are shared).
 
-    One Replay of the net serves every alignment, the empty word's for the
-    shortest visible run among them, and the precision marking sets. Each
+    One Replay serves every alignment, the empty word's for the shortest
+    visible run among them, and the precision marking sets. It is built
+    from reduce_silent(net), which keeps the visible language and the
+    labels enabled after each prefix, so scores are the net's. Each
     alignment is petrinet.align over that Replay's marking sets, stepping
     them through Replay.set_successors, and a set step interns every
-    marking of its silent closure, so state_limit bounds the markings the
-    shared Replay interns, whole closures included, and also the (marking
-    set, log position) states each alignment settles. A SearchLimitError
-    from building the Replay says so; one from aligning a trace's word
-    names the first case with it; one from the empty word's search says
-    it was searching the shortest visible run.
+    marking of its silent closure, so state_limit bounds the markings of
+    the reduced net the shared Replay interns, whole closures included,
+    and also the (marking set, log position) states each alignment
+    settles. A SearchLimitError from building the Replay says so; one from
+    aligning a trace's word names the first case with it; one from the
+    empty word's search says it was searching the shortest visible run.
     """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
     if not words:
         return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
     try:
-        rp = Replay(net, state_limit=state_limit)
+        rp = Replay(reduce_silent(net), state_limit=state_limit)
     except SearchLimitError as err:
         raise SearchLimitError(f"{err} (building the Replay of the model)") from err
     try:

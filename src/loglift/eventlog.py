@@ -26,8 +26,6 @@ from .errors import ConfigError, LogFormatError
 START = "start"
 COMPLETE = "complete"
 
-_LIFECYCLES = (START, COMPLETE)
-
 
 @dataclass
 class Event:
@@ -37,7 +35,9 @@ class Event:
     attributes: dict[str, str] = field(default_factory=dict)
 
     def is_complete(self) -> bool:
-        """Events without an explicit lifecycle count as completions."""
+        """Events without a lifecycle or with lifecycle complete count as
+        completions; any other phase (start, schedule, ate_abort, ...) does
+        not."""
         return self.lifecycle is None or self.lifecycle == COMPLETE
 
 
@@ -190,7 +190,7 @@ def _parse_event(event_el, trace_index: int, case_id: str) -> Event:
             continue
         if key == "concept:name":
             activity = value
-        elif key == "lifecycle:transition" and value.lower() in _LIFECYCLES:
+        elif key == "lifecycle:transition":
             lifecycle = value.lower()
         elif key == "time:timestamp":
             timestamp = _parse_timestamp(value, f"trace {case_id!r} (index {trace_index})")

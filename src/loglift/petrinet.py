@@ -8,7 +8,8 @@ guarded by a state limit and raise SearchLimitError when they hit it, so
 "could not decide" is never reported as "no".
 
 Nets are treated as immutable after construction; splice builds one by
-copying sub-nets into a host net still under construction.
+copying sub-nets into a host net still under construction, and
+reduce_silent a smaller copy with the same visible language.
 """
 
 import heapq
@@ -98,6 +99,93 @@ def splice(host: PetriNet, sub: AcceptingPetriNet, prefix: str, name: str,
     host.arcs.update((t_in, prefix + p) for p, c in sub.initial.items() if c)
     host.arcs.update((prefix + p, t_out) for p, c in sub.final.items() if c)
     host.arcs.update((t_out, p) for p in outputs)
+
+
+def reduce_silent(apn: AcceptingPetriNet) -> AcceptingPetriNet:
+    """A smaller net with the visible language of apn: its silent
+    transitions fused away where that keeps every visible firing sequence.
+
+    Applied in sorted id order until none applies. For a silent t with
+    •t = {p} and t• = {q}, p ≠ q (the silent series fusions of Murata,
+    "Petri nets: properties, analysis and applications", Proc. IEEE 1989):
+
+    - A. if p• = {t} and p is not final, p merges into q (its producers
+      and initial tokens move there) and t is dropped;
+    - B. if •q = {t} and q is not initial, q merges into p (its consumers
+      and final tokens move there) and t is dropped.
+
+    C. Of two places, neither initial nor final, whose consumers are all
+    silent with one input and one output and lead to the same places, the
+    later merges into the earlier (its producers move there) and its
+    consumers are dropped.
+
+    A merge that would give one transition two arcs to or from one place
+    is skipped, as arcs carry no weights. The marking set a word reaches
+    in the result is the image of the one it reaches in apn, merged
+    places' tokens added up: it accepts exactly when that set does and
+    enables the same visible labels, so alignment costs and precision are
+    apn's.
+    """
+    net = apn.net
+    places, silent = set(net.places), net.transitions - net.labels.keys()
+    pre: dict[str, set[str]] = {n: set() for n in net.places | net.transitions}
+    post: dict[str, set[str]] = {n: set() for n in pre}
+    for src, dst in net.arcs:
+        post[src].add(dst)
+        pre[dst].add(src)
+    initial = {p: c for p, c in apn.initial.items() if c}
+    final = {p: c for p, c in apn.final.items() if c}
+
+    def merge(src: str, dst: str, drop: set[str]) -> bool:
+        """Fold place src into place dst and delete the transitions in
+        drop; False, changing nothing, if an arc would be doubled."""
+        ins, outs = pre[src] - drop, post[src] - drop
+        if ins & pre[dst] or outs & post[dst]:
+            return False
+        for t in drop:
+            silent.discard(t)
+            for p in pre.pop(t):
+                post[p].discard(t)
+            for p in post.pop(t):
+                pre[p].discard(t)
+        for t in ins:
+            post[t].remove(src)
+            post[t].add(dst)
+        for t in outs:
+            pre[t].remove(src)
+            pre[t].add(dst)
+        pre[dst] |= ins
+        post[dst] |= outs
+        del pre[src], post[src]
+        places.remove(src)
+        for marking in (initial, final):
+            if src in marking:
+                marking[dst] = marking.get(dst, 0) + marking.pop(src)
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for t in sorted(silent):
+            if t not in silent or len(pre[t]) != 1 or len(post[t]) != 1:
+                continue
+            (p,), (q,) = pre[t], post[t]
+            if p != q and (post[p] == {t} and p not in final and merge(p, q, {t})
+                           or pre[q] == {t} and q not in initial and merge(q, p, {t})):
+                changed = True
+        groups: dict[frozenset[str], list[str]] = {}
+        for p in sorted(places - initial.keys() - final.keys()):
+            if all(t in silent and len(pre[t]) == 1 and len(post[t]) == 1 for t in post[p]):
+                exits = frozenset(q for t in post[p] for q in post[t])
+                groups.setdefault(exits, []).append(p)
+        for keep, *rest in groups.values():
+            for p in rest:
+                changed |= merge(p, keep, set(post[p]))
+    return AcceptingPetriNet(
+        net=PetriNet(places=places, transitions=set(pre.keys() - places),
+                     arcs={(src, dst) for src in pre for dst in post[src]},
+                     labels={t: label for t, label in net.labels.items() if t in pre}),
+        initial=initial, final=final)
 
 
 # -------------------------------------------------------- dense replay core

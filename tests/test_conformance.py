@@ -5,14 +5,17 @@ from collections import Counter, defaultdict
 
 import pytest
 
+import loglift.conformance
 from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, LogliftError,
-                     PatternError, PetriNet, Replay, SearchLimitError, compose,
-                     evaluate, expand_model, f_score, language_upto, make_lpm,
-                     make_pattern, parse_tree, save_pnml, save_xes,
-                     tree_to_net)
+                     PatternError, PetriNet, PipelineConfig, Replay,
+                     SearchLimitError, compose, evaluate, expand_model,
+                     f_score, generate_log, language_upto, make_lpm,
+                     make_pattern, parse_tree, run_stages, save_pnml,
+                     save_xes, tree_to_net)
+from loglift.petrinet import reduce_silent
 from loglift.cli import main
 from loglift.abstraction import LOG, MODEL, SYNC, align_words
-from conftest import (align_trace, all_words, mk_log, mk_trace,
+from conftest import (PLANTED, align_trace, all_words, mk_log, mk_trace,
                       planted_alignment_cases)
 
 
@@ -277,6 +280,47 @@ def test_set_search_settles_within_a_limit_the_marking_search_exceeds():
         align_words(list(word), Replay(apn, state_limit=1000))
     report = evaluate(mk_log([word]), apn, state_limit=1000)
     assert report.trace_costs == [align_words(list(word), Replay(apn)).cost]
+
+
+def recorded_replays(monkeypatch):
+    """The Replays loglift.conformance builds from now on, in order."""
+    built = []
+
+    def recording(apn, state_limit):
+        built.append(Replay(apn, state_limit=state_limit))
+        return built[-1]
+
+    monkeypatch.setattr(loglift.conformance, "Replay", recording)
+    return built
+
+
+def test_evaluate_builds_one_replay_of_the_reduced_net(monkeypatch):
+    built = recorded_replays(monkeypatch)
+    apn = tree_to_net(parse_tree(AND_OF_LOOPS))
+    evaluate(mk_log(["abcd", "ba", "x"]), apn)
+    assert len(built) == 1
+    assert built[0].places == sorted(reduce_silent(apn).net.places)
+    assert len(built[0].places) < len(apn.net.places)
+
+
+def test_evaluate_limit_counts_markings_of_the_reduced_net():
+    # unreduced, the set steps of abcd intern 258 markings of the and of loops
+    apn = tree_to_net(parse_tree(AND_OF_LOOPS))
+    assert evaluate(mk_log(["abcd"]), apn, state_limit=30).trace_costs == [0]
+
+
+def test_keep_foreign_model_evaluates_at_a_small_limit(monkeypatch):
+    # a search-shaped log kept with its foreign activities lifts to a model
+    # around an and of seven loops, five of them optional; unreduced, its
+    # start set holds 973 markings
+    log = generate_log([parse_tree(t) for t in PLANTED], instances=2, traces=40,
+                       composition="interleaving", noise_rate=0.3, seed=2028)
+    result = run_stages(log, PipelineConfig(keep_foreign=True, k=3, t_div=0.5))
+    built = recorded_replays(monkeypatch)
+    report = evaluate(log, result.expanded, state_limit=500)
+    assert report == result.report
+    (rp,) = built
+    assert len(rp._sets[rp.start_set_id]) == 2
 
 
 def test_evaluate_search_limit_names_first_case_of_word():

@@ -63,6 +63,20 @@ def test_xes_round_trip(tmp_path):
     assert back.traces[1].activities() == ["odd name <&>"]
 
 
+def test_xes_lifecycles_other_than_complete_are_not_completions():
+    # schedule, start and ate_abort are phases, not completions; the value is
+    # kept, so writing the log again keeps it
+    phases = ("schedule", "start", "complete", "ate_abort")
+    body = "".join(
+        f'<event><string key="concept:name" value="{a}" />'
+        f'<string key="lifecycle:transition" value="{phase}" /></event>'
+        for a, phase in zip("AAAB", phases))
+    log = parse_xes(f"<log><trace>{body}</trace></log>".encode())
+    assert [e.lifecycle for e in log.traces[0].events] == list(phases)
+    assert complete_word(log.traces[0]) == ("A",)
+    assert parse_xes(write_xes(log)) == log
+
+
 def test_xes_round_trip_is_deterministic(tmp_path):
     log = mk_log(["abc", "de"])
     a, b = tmp_path / "a.xes", tmp_path / "b.xes"

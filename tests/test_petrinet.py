@@ -1,17 +1,23 @@
 """Net semantics, the replay engine, language oracles, PNML round-trip."""
 
+import copy
+import inspect
+import random
 from collections import Counter, defaultdict
 
 import pytest
 
 import loglift.abstraction
 import loglift.conformance
-from loglift import (AcceptingPetriNet, PetriNet, Replay, SearchLimitError,
-                     abstract_log, accepts, align_words, evaluate,
-                     language_upto, make_lpm, parse_pnml, parse_tree,
-                     save_pnml, tree_to_net, write_pnml)
+from loglift import (AcceptingPetriNet, LogliftError, PetriNet, Replay,
+                     SearchLimitError, abstract_log, accepts, align_words,
+                     and_, evaluate, language_upto, leaf, loop, make_lpm,
+                     parse_pnml, parse_tree, save_pnml, seq, tau, tree_to_net,
+                     write_pnml, xor)
+from loglift import petrinet
 from loglift.eventlog import complete_word
-from conftest import N1_TEXT, planted_alignment_cases
+from loglift.petrinet import reduce_silent
+from conftest import N1_TEXT, mk_log, planted_alignment_cases
 
 
 def hand_net():
@@ -247,6 +253,137 @@ def test_multi_token_final_marking():
     assert language_upto(apn, 3) == {("a", "a")}
     assert accepts(apn, ["a", "a"])
     assert not accepts(apn, ["a"])
+
+
+# ------------------------------------------------------- silent reduction
+
+# criterion 5's trees
+CRITERION_5_TREES = [
+    N1_TEXT, "seq(a,b)", "xor(a,b,c)", "and(a,b)", "and(a,b,c)",
+    "loop(a,b)", "loop(a,tau)", "loop(xor(a,b),tau)",
+    "seq(a,and(b,c))", "seq(a,xor(b,tau),c)", "and(seq(a,b),c)",
+    "loop(seq(a,b),xor(c,tau))",
+]
+
+# the shape of the keep_foreign=true models, whose places rule C merges
+AND_OF_OPTIONAL_LOOPS = "and(xor(loop(a,tau),tau),xor(loop(b,tau),tau))"
+
+
+def random_tree(rng, depth):
+    """A random process tree over a-d and tau, nested at most depth deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return tau() if rng.random() < 0.3 else leaf(rng.choice("abcd"))
+    op = rng.choice((seq, xor, and_, loop))
+    arity = 2 if op is loop else rng.choice((2, 3))
+    return op(*(random_tree(rng, depth - 1) for _ in range(arity)))
+
+
+def accepting(places, arcs, labels, initial, final):
+    transitions = {n for arc in arcs for n in arc} - set(places)
+    return AcceptingPetriNet(net=PetriNet(places=set(places), transitions=transitions,
+                                          arcs=set(arcs), labels=labels),
+                             initial=initial, final=final)
+
+
+def guarded_nets():
+    """Nets that only one precondition of reduce_silent keeps as they are:
+    tau's input place is final (rule A), its output place is initial (rule
+    B), and a producing into both of tau's places (the guard, as a merged
+    arc would carry one token for two)."""
+    return [
+        accepting("sfg", {("s", "a"), ("a", "f"), ("s", "c"), ("c", "g"),
+                          ("f", "tau"), ("tau", "g")},
+                  {"a": "a", "c": "c"}, {"s": 1}, {"f": 1}),
+        accepting("pqr", {("p", "tau"), ("tau", "q"), ("p", "b"), ("b", "r"),
+                          ("q", "a"), ("a", "r")},
+                  {"a": "a", "b": "b"}, {"q": 1}, {"r": 1}),
+        accepting("spqf", {("s", "a"), ("a", "p"), ("a", "q"), ("p", "tau"),
+                           ("tau", "q"), ("q", "b"), ("b", "f")},
+                  {"a": "a", "b": "b"}, {"s": 1}, {"f": 2}),
+    ]
+
+
+def reduction_cases():
+    """(net, words): criterion 5's nets, an and of optional loops, 150
+    seeded random trees of at most 12 nodes with tau leaves, nested up to 3
+    deep, and guarded_nets, each with random words over its alphabet and a
+    foreign letter."""
+    rng = random.Random(21)
+    nets = [tree_to_net(parse_tree(text))
+            for text in CRITERION_5_TREES + [AND_OF_OPTIONAL_LOOPS]]
+    nets.append(accepting("pq", {("p", "t"), ("t", "q")}, {"t": "a"}, {"p": 2}, {"q": 2}))
+    trees = (random_tree(rng, 3) for _ in iter(int, 1))
+    nets += [tree_to_net(t) for t, _ in zip((t for t in trees if t.node_count() <= 12),
+                                            range(150))]
+    nets += guarded_nets()
+    cases = []
+    for apn in nets:
+        letters = sorted(apn.alphabet()) + ["x"]
+        words = [""] + ["".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                        for _ in range(5)]
+        cases.append((apn, words))
+    return cases
+
+
+def keeps_behaviour(reduce, apn, words):
+    """Whether reduce(apn) has apn's words up to length 5, and evaluate
+    gives it apn's fitness, precision and trace costs on the words."""
+    try:
+        reduced = reduce(apn)
+        if language_upto(reduced, 5) != language_upto(apn, 5):
+            return False
+        log = mk_log(words)
+        want, got = evaluate(log, apn), evaluate(log, reduced)
+    except LogliftError:
+        return False
+    return ((got.fitness, got.precision, got.trace_costs)
+            == (want.fitness, want.precision, want.trace_costs))
+
+
+def test_reduce_silent_keeps_language_and_evaluate(monkeypatch):
+    monkeypatch.setattr(loglift.conformance, "reduce_silent", lambda apn: apn)
+    shrunk = 0
+    for apn, words in reduction_cases():
+        before = copy.deepcopy(apn)
+        assert keeps_behaviour(reduce_silent, apn, words), (apn, words)
+        assert apn == before  # the net is read, not changed
+        reduced = reduce_silent(apn)
+        reduced.validate()
+        shrunk += len(reduced.net.places) < len(apn.net.places)
+    assert shrunk >= 50
+
+
+# each rule with one of its preconditions dropped
+MUTANTS = {
+    "A without p• = {t}": ("post[p] == {t} and p not in final and merge(p, q, {t})",
+                           "p not in final and merge(p, q, {t})"),
+    "A without p not final": ("post[p] == {t} and p not in final and",
+                              "post[p] == {t} and"),
+    "B without •q = {t}": ("pre[q] == {t} and q not in initial and",
+                           "q not in initial and"),
+    "B without q not initial": ("pre[q] == {t} and q not in initial and",
+                                "pre[q] == {t} and"),
+    "C without equal exits": ("groups.setdefault(exits, [])",
+                              "groups.setdefault(frozenset(), [])"),
+    "C without silent consumers": ("t in silent and len(pre[t]) == 1",
+                                   "len(pre[t]) == 1"),
+    "C without one input": ("len(pre[t]) == 1 and len(post[t]) == 1 for t in post[p]",
+                            "len(post[t]) == 1 for t in post[p]"),
+    "without the arc guard": ("if ins & pre[dst] or outs & post[dst]:", "if False:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_reduce_silent_mutant_is_caught(name, monkeypatch):
+    old, new = MUTANTS[name]
+    source = inspect.getsource(petrinet.reduce_silent)
+    assert source.count(old) == 1
+    namespace = dict(vars(petrinet))
+    exec(compile(source.replace(old, new), petrinet.__file__, "exec"), namespace)
+    mutant = namespace["reduce_silent"]
+    monkeypatch.setattr(loglift.conformance, "reduce_silent", lambda apn: apn)
+    assert not all(keeps_behaviour(mutant, apn, words)
+                   for apn, words in reduction_cases())
 
 
 # ------------------------------------------------------------------- PNML

@@ -14,8 +14,9 @@ from loglift import (ConfigError, LpmRanking, PipelineConfig, StageError,
                      parse_tree, run_pipeline, run_stages, run_sweep,
                      sample_word, save_xes, sweep_csv, tree_to_net, accepts)
 from loglift.cli import _read_config, main
+from loglift.petrinet import reduce_silent
 from loglift.pipeline import config_text
-from conftest import mk_log
+from conftest import PLANTED, mk_log
 
 
 def planted_log(traces=30, noise_rate=0.0, seed=3):
@@ -163,6 +164,34 @@ def test_run_pipeline_is_byte_deterministic(tmp_path):
         a = (dirs[0] / fname).read_bytes()
         b = (dirs[1] / fname).read_bytes()
         assert a == b, fname
+
+
+def test_run_pipeline_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # string hashing orders set and dict iteration differently under each
+    # PYTHONHASHSEED; a parallel log gives concurrent nets with silent
+    # transitions for evaluate's reduction to fuse
+    log_path = tmp_path / "in.xes"
+    save_xes(generate_log([parse_tree(t) for t in PLANTED], instances=2, traces=12,
+                          composition="parallel", noise_rate=0.3, seed=7),
+             str(log_path))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / f"hash_{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "loglift", "pipeline", "--input", str(log_path),
+             "--out-dir", str(out_dir), "--composition", "parallel", "--keep-foreign"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        h = hashlib.sha256()
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+            h.update(path.relative_to(out_dir).as_posix().encode() + b"\0" + path.read_bytes())
+        digests.append(h.hexdigest())
+    assert digests[0] == digests[1]
+    expanded = parse_pnml(str(out_dir / "expanded.pnml"))
+    assert len(reduce_silent(expanded).net.places) < len(expanded.net.places)
 
 
 # sha256 of artifacts of one small seeded run: changes to how nets are
