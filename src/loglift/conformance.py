@@ -28,7 +28,10 @@ cheapest alignment of a word is a cheapest path in the subset automaton:
 a log move keeps the set, a synchronous or visible model move on a label
 steps the set by it, and the goal is the whole word read in a set holding
 the final marking. The silent interleavings of a concurrent net, which a
-marking-level search expands one by one, never become states.
+marking-level search expands one by one, never become states. A word
+the net accepts, once its foreign events are dropped, is aligned by the
+search's first phase alone, over synchronous moves and log moves of
+foreign events, without a heap.
 """
 
 from collections import Counter

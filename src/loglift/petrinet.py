@@ -388,28 +388,52 @@ def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
 
     Lexicographically minimizes (total cost, gap moves, visible model
     moves), where gap_oracle maps a node to the activities whose log move
-    counts as a gap move there (none without an oracle). A* pops states
-    in the order (total cost + heuristic, gap moves, visible model moves,
-    deepest log position first, first pushed first); successors are
-    pushed in the order sync, tau, log, visible model. Going deeper first
-    on ties keeps a zero-cost run through a concurrent net from expanding
-    every interleaving of its silent moves breadth-first. A log move is
-    always possible, so the search ends without an alignment only when no
-    accepting node is reachable: that raises LogliftError, while settling
-    more than rp.state_limit states raises SearchLimitError.
+    counts as a gap move there (none without an oracle). It is the A* of
+    Adriansyah, van Dongen & van der Aalst (EDOC 2011), whose admissible
+    heuristic is the events left that the net can never mirror (foreign
+    events: their only move is a log move). States are settled in the
+    order (total cost + heuristic, gap moves, visible model moves, deepest
+    log position first, first reached first). Going deeper first on ties
+    keeps a zero-cost run through a concurrent net from expanding every
+    interleaving of its silent moves breadth-first. Two phases settle
+    states in that order:
+
+    - Phase 1 settles the states at the heuristic's bound, which cost
+      exactly the foreign events passed and took no gap or model move.
+      Only synchronous moves, silent moves and non-gap log moves of
+      foreign events reach them, and they share the order's first three
+      digits, so they come first; a word that fits once its foreign
+      events are dropped ends among them. They are settled from one
+      first-in first-out list per log position, the deepest non-empty
+      list first, and each pushes only those zero-cost successors, in the
+      order sync, tau, foreign log move.
+    - If phase 1 runs dry without reaching the goal, phase 2 pushes onto
+      a heap the costed moves of phase 1's states, in the order phase 1
+      settled them (a log move that costs, then each visible model move),
+      and goes on as a plain A*: it pushes successors in the order sync,
+      tau, log, visible model, pushes a state again only when it reaches
+      it more cheaply, and pops ties first pushed first.
+
+    So every state is reached from the parent, and pushed in the relative
+    order, that one A* over a single heap gives it, and the alignment
+    returned among equal-cost ones is that A*'s. No state is settled
+    twice, and rp.state_limit bounds the states settled across both
+    phases: settling more raises SearchLimitError. A log move is always
+    possible, so the search ends without an alignment only when no
+    accepting node is reachable, which raises LogliftError.
 
     A state (node, log position) is the int node * (n + 1) + position.
     Each reached state records only its parent state and the edge taken
-    (None for a log move). Costs and heap keys are single ints in exact
-    mixed radices, so comparing two ints compares the tuples they encode.
-    A cost vector (cost, gap moves, visible model moves) is packed as
-    (cost * (n + 1) + gap moves) * M + model moves, with M = rp.state_limit
-    + 2: gap moves are log moves, so at most n, and the model moves on a path
-    are at most the states settled before it ends, so at most state_limit +
-    1. A state at log position pos with packed cost d has the pop key d *
-    (n + 1) + hw[pos], where hw[pos] = foreign_suffix[pos] * (n + 1) * M *
-    (n + 1) + n - pos adds the heuristic (the events the net can never
-    mirror) to the cost digit and puts deeper positions first. Heap
+    (None for a log move). Phase 2's costs and heap keys are single ints
+    in exact mixed radices, so comparing two ints compares the tuples
+    they encode. A cost vector (cost, gap moves, visible model moves) is
+    packed as (cost * (n + 1) + gap moves) * M + model moves, with M =
+    rp.state_limit + 2: gap moves are log moves, so at most n, and the
+    model moves on a path are at most the states settled before it ends,
+    so at most state_limit + 1. A state at log position pos with packed
+    cost d has the pop key d * (n + 1) + hw[pos], where hw[pos] =
+    foreign_suffix[pos] * (n + 1) * M * (n + 1) + n - pos adds the
+    heuristic to the cost digit and puts deeper positions first. Heap
     entries are (key, push counter, state); only the goal's cost is
     decoded.
 
@@ -417,57 +441,118 @@ def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
     steps, advanced telling whether the step consumed the event at that
     position.
     """
-    heappush, heappop = heapq.heappush, heapq.heappop
     n = len(word)
     width = n + 1
     alphabet = set(rp.labels) - {None}
-    # admissible heuristic: events the net cannot ever mirror must be log moves
     foreign_suffix = [0] * width
     for i in range(n - 1, -1, -1):
-        foreign_suffix[i] = foreign_suffix[i + 1] + (0 if word[i] in alphabet else 1)
+        foreign_suffix[i] = foreign_suffix[i + 1] + (word[i] not in alphabet)
     state_limit = rp.state_limit
+
+    # phase 1: the states at the bound, from a stack of FIFO lists, one per
+    # log position from 0 to the one being settled; no deeper state waits
+    start *= width
+    parent: dict[int, tuple | None] = {start: None}
+    queue = deque((start,))
+    stack = [queue]
+    order: list[int] = []
+    pos = 0
+    while True:
+        state = queue.popleft()
+        order.append(state)
+        node = state // width
+        if pos == n and accepting(node):
+            return (foreign_suffix[0], 0, 0), _path(parent, state, width)
+        if len(order) > state_limit:
+            raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
+        silent, _, by_label = successors(node)
+        deeper = None
+        if pos < n:
+            nxt_pos = pos + 1
+            for edge, v in by_label.get(word[pos], ()):
+                nxt = v * width + nxt_pos
+                if nxt not in parent:
+                    parent[nxt] = (state, edge)
+                    if deeper is None:
+                        deeper = deque()
+                    deeper.append(nxt)
+        for edge, v in silent:
+            nxt = v * width + pos
+            if nxt not in parent:
+                parent[nxt] = (state, edge)
+                queue.append(nxt)
+        if pos < n and foreign_suffix[pos] > foreign_suffix[nxt_pos] and (
+                gap_oracle is None or word[pos] not in gap_oracle(node)):
+            nxt = state + 1
+            if nxt not in parent:
+                parent[nxt] = (state, None)
+                if deeper is None:
+                    deeper = deque()
+                deeper.append(nxt)
+        if deeper is not None:
+            stack.append(deeper)
+            queue = deeper
+            pos += 1
+        else:
+            while not queue and pos:
+                stack.pop()
+                pos -= 1
+                queue = stack[pos]
+            if not queue:
+                break
+
+    # phase 2: the costed moves of phase 1's states, in settle order, then
+    # A* over a heap. A settled state's cost is -1, below every cost, so
+    # that no move reaches it more cheaply and its stale entries are skipped
+    heappush, heappop = heapq.heappush, heapq.heappop
     model_radix = state_limit + 2
     cost_unit = width * model_radix
     hw = [foreign_suffix[pos] * cost_unit * width + n - pos for pos in range(width)]
-
-    start *= width
-    dist: dict[int, int] = {start: 0}
-    parent: dict[int, tuple] = {}
+    dist = dict.fromkeys(order, -1)
+    heap: list[tuple[int, int, int]] = []
     counter = 0
-    heap = [(hw[0], 0, start)]
-    settled: set[int] = set()
-    goal = None
-
-    while heap:
-        _, _, state = heappop(heap)
-        if state in settled:
-            continue
-        settled.add(state)
-        node, pos = divmod(state, width)
-        if pos == n and accepting(node):
-            goal = state
-            break
-        if len(settled) > state_limit:
-            raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
-        d = dist[state]
-        silent, visible, by_label = successors(node)
-        if pos < n:
-            # sync moves
-            nxt_pos = pos + 1
-            key = d * width + hw[nxt_pos]
-            for edge, v in by_label.get(word[pos], ()):
-                nxt = v * width + nxt_pos
-                if nxt not in settled:
+    settled = replayed = len(order)
+    i = 0
+    while True:
+        if i < replayed:
+            # phase 1 pushed its zero-cost moves
+            state = order[i]
+            i += 1
+            node, pos = divmod(state, width)
+            d = (foreign_suffix[0] - foreign_suffix[pos]) * cost_unit
+            visible = successors(node)[1]
+        else:
+            if not heap:
+                # every reachable state was settled within the limit: a definite no
+                raise LogliftError("final marking is not reachable from the initial marking")
+            _, _, state = heappop(heap)
+            d = dist[state]
+            if d < 0:
+                continue
+            dist[state] = -1
+            settled += 1
+            node, pos = divmod(state, width)
+            if pos == n and accepting(node):
+                cost, rest = divmod(d, cost_unit)
+                return (cost, *divmod(rest, model_radix)), _path(parent, state, width)
+            if settled > state_limit:
+                raise SearchLimitError(f"state limit {state_limit} exceeded during alignment")
+            silent, visible, by_label = successors(node)
+            if pos < n:
+                # sync moves
+                nxt_pos = pos + 1
+                key = d * width + hw[nxt_pos]
+                for edge, v in by_label.get(word[pos], ()):
+                    nxt = v * width + nxt_pos
                     old = dist.get(nxt)
                     if old is None or d < old:
                         dist[nxt] = d
                         parent[nxt] = (state, edge)
                         counter += 1
                         heappush(heap, (key, counter, nxt))
-        key = d * width + hw[pos]
-        for edge, v in silent:
-            nxt = v * width + pos
-            if nxt not in settled:
+            key = d * width + hw[pos]
+            for edge, v in silent:
+                nxt = v * width + pos
                 old = dist.get(nxt)
                 if old is None or d < old:
                     dist[nxt] = d
@@ -477,42 +562,38 @@ def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
         if pos < n:
             # log move
             nxt = state + 1
-            if nxt not in settled:
-                new = d + cost_unit
-                if gap_oracle is not None and word[pos] in gap_oracle(node):
-                    new += model_radix
-                old = dist.get(nxt)
-                if old is None or new < old:
-                    dist[nxt] = new
-                    parent[nxt] = (state, None)
-                    counter += 1
-                    heappush(heap, (new * width + hw[pos + 1], counter, nxt))
+            new = d + cost_unit
+            if gap_oracle is not None and word[pos] in gap_oracle(node):
+                new += model_radix
+            old = dist.get(nxt)
+            if old is None or new < old:
+                dist[nxt] = new
+                parent[nxt] = (state, None)
+                counter += 1
+                heappush(heap, (new * width + hw[pos + 1], counter, nxt))
         new = d + cost_unit + 1
         key = new * width + hw[pos]
         for edge, v in visible:
             nxt = v * width + pos
-            if nxt not in settled:
-                old = dist.get(nxt)
-                if old is None or new < old:
-                    dist[nxt] = new
-                    parent[nxt] = (state, edge)
-                    counter += 1
-                    heappush(heap, (key, counter, nxt))
+            old = dist.get(nxt)
+            if old is None or new < old:
+                dist[nxt] = new
+                parent[nxt] = (state, edge)
+                counter += 1
+                heappush(heap, (key, counter, nxt))
 
-    if goal is None:
-        # every reachable state was settled within the limit: a definite no
-        raise LogliftError("final marking is not reachable from the initial marking")
+
+def _path(parent, goal: int, width: int):
+    """The (log position, edge, advanced) steps from the start to goal."""
     path = []
     state = goal
-    while state != start:
-        prev, edge = parent[state]
+    while (step := parent[state]) is not None:
+        prev, edge = step
         pos = prev % width
         path.append((pos, edge, state % width > pos))
         state = prev
     path.reverse()
-    cost, rest = divmod(dist[goal], cost_unit)
-    gaps, model = divmod(rest, model_radix)
-    return (cost, gaps, model), path
+    return path
 
 
 # ------------------------------------------------------------- acceptance

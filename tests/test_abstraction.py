@@ -1,17 +1,16 @@
 """Lifecycle roles, composition, gap-aware alignment, trace abstraction."""
 
-import heapq
-import types
-
 import pytest
 
-import loglift.petrinet
-from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError, Replay,
-                     SearchLimitError, abstract_log, abstract_trace, compose,
-                     derive_lifecycle, language_upto, leaf, make_lpm,
-                     make_pattern, parse_tree, patterns_from_models, seq,
-                     tree_to_net)
+import loglift.abstraction
+from loglift import (INTERLEAVING, PARALLEL, Event, EventLog, PatternError,
+                     Replay, SearchLimitError, Trace, abstract_log,
+                     abstract_trace, compose, derive_lifecycle, language_upto,
+                     leaf, make_lpm, make_pattern, parse_tree,
+                     patterns_from_models, seq, tree_to_net)
 from loglift.abstraction import align_words
+from loglift.eventlog import COMPLETE, START, complete_word
+from loglift.petrinet import align
 from conftest import (GOLDEN, GOLDEN_ABSTRACTED, N1_TEXT, align_trace,
                       all_words, mk_log, mk_trace, planted_alignment_cases)
 
@@ -249,6 +248,32 @@ def test_abstract_log_shares_replay(n1_model):
     assert [t.case_id for t in out] == [t.case_id for t in log]
 
 
+@pytest.mark.parametrize("composition", [INTERLEAVING, PARALLEL])
+def test_abstract_log_aligns_each_distinct_word_once(composition, monkeypatch):
+    # a log of repeated variants, some with start events, which are not
+    # part of the word
+    log, nets = planted_alignment_cases(composition, traces=6)
+    model = nets["abstraction"]
+    words = [complete_word(t) for t in log]
+    repeated = EventLog(traces=[mk_trace(w, case_id=f"r{i}")
+                                for i, w in enumerate(words * 3 + words[:2])])
+    repeated.traces.append(Trace(case_id="with-starts", events=[
+        Event(activity=a, lifecycle=lc) for a in words[0] for lc in (START, COMPLETE)]))
+    calls = []
+
+    def counting(events, rp, gap_oracle=None):
+        calls.append(tuple(events))
+        return align_words(events, rp, gap_oracle)
+
+    monkeypatch.setattr(loglift.abstraction, "align_words", counting)
+    for keep_foreign in (False, True):
+        calls.clear()
+        lifted = abstract_log(repeated, model, keep_foreign=keep_foreign)
+        assert sorted(calls) == sorted(set(words))
+        assert lifted.traces == [abstract_trace(t, model, keep_foreign=keep_foreign)
+                                 for t in repeated], keep_foreign
+
+
 def test_abstraction_is_invariant_under_pattern_renaming():
     # "A_" extends "A" + "_", so a name-prefix match would give pattern A
     # the places of pattern A_ as well and change which events are gaps
@@ -266,31 +291,34 @@ def test_abstraction_is_invariant_under_pattern_renaming():
     assert [e.activity for e in out.events if e.is_complete()] == ["a", "A_", "b"]
 
 
-def test_align_goes_deep_on_zero_cost_ties(monkeypatch):
+def test_align_goes_deep_on_zero_cost_ties():
     # six concurrent loops with silent redo: every (position, marking) pair
-    # on the way ties at cost 0; breadth-first tie order pops 10,821 states.
-    # The search is petrinet.align, so its pops are counted there.
-    pops = 0
-
-    def counting_pop(heap):
-        nonlocal pops
-        pops += 1
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(loglift.petrinet, "heapq",
-                        types.SimpleNamespace(heappush=heapq.heappush,
-                                              heappop=counting_pop))
+    # on the way ties at cost 0; breadth-first tie order expands 10,821
+    # states. The search is petrinet.align, which calls successors once
+    # for each state it settles on a word that fits, so its expansions
+    # are counted there.
+    expanded = 0
     net = tree_to_net(parse_tree(
         "and(" + ",".join(f"loop({a},tau)" for a in "abcdef") + ")"))
-    alignment = align_words(list("abcdef" * 3), Replay(net))
-    assert alignment.cost_vector == (0, 0, 0)
-    assert 0 < pops < 2000
+    rp = Replay(net)
+
+    def counting(mid):
+        nonlocal expanded
+        expanded += 1
+        return rp.successors(mid)
+
+    cost_vector, _ = align(list("abcdef" * 3), rp, counting, rp.initial_id,
+                           lambda mid: mid == rp.final_id)
+    assert cost_vector == (0, 0, 0)
+    assert 0 < expanded < 2000
 
 
 def test_abstract_log_search_limit_names_case():
+    # the first case with the word that hits the limit
     model = compose([pattern("and(a,b,c)", "P")], PARALLEL)
     log = EventLog(traces=[mk_trace("ab", case_id="short"),
-                           mk_trace("abcabcabc", case_id="long-7")])
+                           mk_trace("abcabcabc", case_id="long-7"),
+                           mk_trace("abcabcabc", case_id="long-8")])
     with pytest.raises(SearchLimitError, match=r"during alignment \(case long-7\)"):
         abstract_log(log, model, state_limit=20)
 

@@ -101,3 +101,21 @@ def test_package_modules_use_every_module_level_import():
         unused += [(path.name, line, name) for name, line in bound.items()
                    if name not in used]
     assert unused == []
+
+
+def test_only_petrinet_align_pops_a_heap():
+    # one alignment search: the package's one best-first search over a heap
+    # is petrinet.align, so every heappop, called or aliased, sits there
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        align = [node for node in tree.body if path.name == "petrinet.py"
+                 and isinstance(node, ast.FunctionDef) and node.name == "align"]
+        in_align = {id(node) for top in align for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name == "heappop":
+                (inside if id(node) in in_align else outside).append((path.name, node.lineno))
+    assert inside
+    assert outside == []

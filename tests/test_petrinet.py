@@ -9,15 +9,18 @@ import pytest
 
 import loglift.abstraction
 import loglift.conformance
-from loglift import (AcceptingPetriNet, LogliftError, PetriNet, Replay,
-                     SearchLimitError, abstract_log, accepts, align_words,
-                     and_, evaluate, language_upto, leaf, loop, make_lpm,
-                     parse_pnml, parse_tree, save_pnml, seq, tau, tree_to_net,
-                     write_pnml, xor)
+from loglift import (INTERLEAVING, PARALLEL, AbstractionModel, AcceptingPetriNet,
+                     LogliftError, PetriNet, Replay, SearchLimitError,
+                     abstract_log, accepts, align_words, and_, compose,
+                     evaluate, language_upto, leaf, loop, make_lpm, parse_pnml,
+                     parse_tree, patterns_from_models, save_pnml, seq, tau,
+                     tree_to_net, write_pnml, xor)
 from loglift import petrinet
+from loglift.abstraction import _GapOracle
 from loglift.eventlog import complete_word
-from loglift.petrinet import reduce_silent
-from conftest import N1_TEXT, mk_log, planted_alignment_cases
+from loglift.petrinet import DEFAULT_STATE_LIMIT, align, reduce_silent
+from conftest import (N1_TEXT, all_words, mk_log, planted_alignment_cases,
+                      reference_align)
 
 
 def hand_net():
@@ -384,6 +387,130 @@ def test_reduce_silent_mutant_is_caught(name, monkeypatch):
     monkeypatch.setattr(loglift.conformance, "reduce_silent", lambda apn: apn)
     assert not all(keeps_behaviour(mutant, apn, words)
                    for apn, words in reduction_cases())
+
+
+# ------------------------------------------------------- alignment search
+
+def noisy(rng, word, letters):
+    """word with each event dropped, replaced or followed by a random
+    letter, each with probability 0.15."""
+    out = []
+    for a in word:
+        r = rng.random()
+        if r < 0.15:
+            continue
+        out.append(rng.choice(letters) if r < 0.3 else a)
+        if r > 0.85:
+            out.append(rng.choice(letters))
+    return tuple(out)
+
+
+def pattern_models(rng, count):
+    """count seeded compositions of one to three random patterns over a-d,
+    interleaving and parallel in turn."""
+    models = []
+    while len(models) < count:
+        lpms = []
+        for _ in range(rng.randint(1, 3)):
+            try:
+                lpms.append(make_lpm(random_tree(rng, 2)))
+            except ValueError:  # a repeated or no activity leaf
+                pass
+        if lpms:
+            composition = (INTERLEAVING, PARALLEL)[len(models) % 2]
+            models.append(compose(patterns_from_models(lpms), composition))
+    return models
+
+
+def align_oracle_cases():
+    """(search, net, words): the marking search and the reduced net's set
+    search over criterion 5's nets, a net whose final marking is
+    unreachable and 40 seeded random trees with tau leaves, and the
+    marking search with its gap oracle over 24 compositions of random
+    patterns. The words are all words up to length 3 over the net's
+    alphabet and a foreign letter, and ten noisy copies of one or two
+    words of at most 4 letters that the net accepts, run together."""
+    rng = random.Random(22)
+    nets = [tree_to_net(parse_tree(text)) for text in CRITERION_5_TREES]
+    nets.append(accepting("pq", {("p", "t"), ("t", "q")}, {"t": "a"}, {"p": 2}, {"q": 2}))
+    nets.append(accepting("pqr", {("p", "t"), ("t", "q")}, {"t": "a"}, {"p": 1},
+                          {"q": 1, "r": 1}))
+    trees = (random_tree(rng, 3) for _ in iter(int, 1))
+    nets += [tree_to_net(t) for t, _ in zip((t for t in trees if t.node_count() <= 12),
+                                            range(40))]
+    cases = []
+    for net in nets + pattern_models(rng, 24):
+        apn = net.net if isinstance(net, AbstractionModel) else net
+        letters = sorted(apn.alphabet()) + ["x"]
+        accepted = sorted(language_upto(apn, 4)) or [()]
+        words = all_words(letters, 3) + [noisy(rng, rng.choice(accepted) * rng.randint(1, 2),
+                                               letters) for _ in range(10)]
+        if isinstance(net, AbstractionModel):
+            cases.append(("gap", net, words))
+        else:
+            cases += [("marking", net, words), ("set", net, words)]
+    return cases
+
+
+def align_outcomes(align_fn, search, net, words, state_limit):
+    """align_fn's (cost vector, path), or its error, for each word in turn
+    on one Replay, and how many markings that Replay interned."""
+    apn = net.net if search == "gap" else reduce_silent(net) if search == "set" else net
+    try:
+        rp = Replay(apn, state_limit=state_limit)
+    except SearchLimitError as err:
+        return str(err)
+    if search == "set":
+        args = (rp.set_successors, rp.start_set_id, rp._set_accepting.__getitem__)
+    else:
+        args = (rp.successors, rp.initial_id, lambda mid: mid == rp.final_id,
+                _GapOracle(net, rp) if search == "gap" else None)
+    out = []
+    for word in words:
+        try:
+            out.append(align_fn(word, rp, *args))
+        except LogliftError as err:
+            out.append((type(err).__name__, str(err)))
+    return out, len(rp._marks)
+
+
+ALIGN_LIMITS = (DEFAULT_STATE_LIMIT, 25, 8)
+
+
+def disagreements(align_fn):
+    """The (search, net, state limit) cases where align_fn's outcomes
+    differ from reference_align's."""
+    return ((search, net, limit) for search, net, words in align_oracle_cases()
+            for limit in ALIGN_LIMITS
+            if align_outcomes(align_fn, search, net, words, limit)
+            != align_outcomes(reference_align, search, net, words, limit))
+
+
+def test_align_matches_the_single_heap_search():
+    # the two phases return the alignment one A* over a single heap
+    # returns among ties, hit the state limit where it does, and leave the
+    # Replay with the same markings
+    assert next(disagreements(align), None) is None
+
+
+# phase 1 popping last reached first, phase 2 pushing the costed moves of
+# phase 1's states in reverse settle order, and phase 1 settling one state
+# over the limit
+ALIGN_MUTANTS = {
+    "LIFO within a position": ("state = queue.popleft()", "state = queue.pop()"),
+    "phase 1 replayed in reverse": ("state = order[i]", "state = order[-1 - i]"),
+    "phase 1 over the limit": ("len(order) > state_limit", "len(order) > state_limit + 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIGN_MUTANTS))
+def test_align_mutant_is_caught(name):
+    old, new = ALIGN_MUTANTS[name]
+    source = inspect.getsource(petrinet.align)
+    assert source.count(old) == 1
+    namespace = dict(vars(petrinet))
+    exec(compile(source.replace(old, new), petrinet.__file__, "exec"), namespace)
+    assert next(disagreements(namespace["align"]), None) is not None
 
 
 # ------------------------------------------------------------------- PNML
