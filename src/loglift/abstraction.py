@@ -7,14 +7,13 @@ completion). Patterns are composed into one abstraction model, the trace is
 aligned against that model, and every matched pattern occurrence is
 replaced by one high-level event.
 
-Each distinct trace word is aligned once, by petrinet.align, the one A*
-alignment search, run here over the markings of one Replay of the
-composed net (conformance runs it over marking sets), and every trace
-with that word is lifted along its alignment. A word that fits the
-composed net up to its foreign events, as most do, is aligned by the
-search's first phase, which settles only zero-cost moves and uses no
-heap. The Replay's state limit bounds both the markings it interns and
-the states each alignment settles.
+Each trace is aligned by petrinet.align, the one A* alignment search,
+run here over the markings of one Replay of the composed net
+(conformance runs it over marking sets). A trace that fits the composed
+net up to its foreign events, as most do, is aligned by the search's
+first phase, which settles only zero-cost moves and uses no heap. The
+Replay's state limit bounds both the markings it interns and the states
+each alignment settles.
 Alignment move costs: synchronous and silent model moves are free, log
 moves and visible model moves cost one. Minimum total cost
 alone does not pin down the occurrence structure, so ties break
@@ -308,16 +307,13 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
     """Replace matched pattern occurrences by high-level events.
 
     One Replay of the model's net, with state_limit, and one gap oracle
-    over it align each distinct complete word once, and every trace is
-    lifted along its word's alignment: an alignment depends only on the
-    word, and aligning a word again interns no new marking. Emits one
-    complete event per reported occurrence (and a start event when the
-    occurrence's starting transition fired synchronously). Log moves over
-    pattern activities stay as low-level events; events of demoted
-    occurrences stay too. Foreign events (outside every pattern alphabet)
-    are dropped unless keep_foreign is set. A SearchLimitError says it was
-    building the Replay, or names the first case whose word's alignment
-    hit the limit.
+    over it align every trace's complete word. Emits one complete event
+    per reported occurrence (and a start event when the occurrence's
+    starting transition fired synchronously). Log moves over pattern
+    activities stay as low-level events; events of demoted occurrences
+    stay too. Foreign events (outside every pattern alphabet) are dropped
+    unless keep_foreign is set. A SearchLimitError says it was building
+    the Replay, or names the case whose alignment hit the limit.
     """
     try:
         rp = Replay(model.net, state_limit=state_limit)
@@ -325,17 +321,13 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
         raise SearchLimitError(
             f"{err} (building the Replay of the abstraction model)") from err
     gap_oracle = _GapOracle(model, rp)
-    alignments: dict[tuple[str, ...], Alignment] = {}
     traces = []
     for trace in log:
         originals = [e for e in trace.events if e.is_complete()]
-        word = tuple(e.activity for e in originals)
-        alignment = alignments.get(word)
-        if alignment is None:
-            try:
-                alignment = alignments[word] = align_words(word, rp, gap_oracle)
-            except SearchLimitError as err:
-                raise SearchLimitError(f"{err} (case {trace.case_id})") from err
+        try:
+            alignment = align_words([e.activity for e in originals], rp, gap_oracle)
+        except SearchLimitError as err:
+            raise SearchLimitError(f"{err} (case {trace.case_id})") from err
         traces.append(Trace(case_id=trace.case_id,
                             events=_lift_trace(alignment, originals, model, keep_foreign)))
     return EventLog(traces=traces)
