@@ -111,39 +111,6 @@ def _escape(text: str, escapes) -> str:
     return text.translate(table) if special.search(text) else text
 
 
-def xml_bytes(root) -> bytes:
-    """Indented UTF-8 serialization with an XML declaration.
-
-    Byte for byte what ElementTree.indent followed by ElementTree.write
-    (encoding="utf-8", xml_declaration=True) gives for the elements written
-    here: tags without namespaces, attributes and text, and no tails or
-    comments. The root element is left unchanged.
-    """
-    # one string per element, not a list of its pieces: a document's
-    # small strings would otherwise all be alive at once
-    return ("<?xml version='1.0' encoding='utf-8'?>\n"
-            + _element_text(root, "\n")).encode("utf-8", "xmlcharrefreplace")
-
-
-def _element_text(el, indent: str) -> str:
-    """el serialized; indent is the newline and spaces before el's end tag
-    if el has children, and its children are indented two spaces more."""
-    head = "<" + el.tag
-    for key, value in el.items():
-        head += f' {key}="{_escape(value, _ATTR_ESCAPES)}"'
-    text = el.text
-    if len(el):
-        inner = indent + "  "
-        # like ElementTree.indent, a whitespace-only text becomes the
-        # indentation of the first child
-        first = _escape(text, _TEXT_ESCAPES) if text and text.strip() else inner
-        children = inner.join([_element_text(child, inner) for child in el])
-        return f"{head}>{first}{children}{indent}</{el.tag}>"
-    if text:
-        return f"{head}>{_escape(text, _TEXT_ESCAPES)}</{el.tag}>"
-    return head + " />"
-
-
 # ---------------------------------------------------------------- XES input
 
 def _parse_timestamp(value: str, where: str) -> datetime:
@@ -212,11 +179,12 @@ _XES_HEAD = ("<?xml version='1.0' encoding='utf-8'?>\n"
 def write_xes(log: EventLog) -> bytes:
     """Serialize a log to XES bytes; output is deterministic for equal logs.
 
-    Written as text, byte for byte what xml_bytes gives for the log as an
-    element tree: a <trace> per trace holding its concept:name <string>
-    and an <event> per event, each event holding its concept:name, its
-    lifecycle:transition and time:timestamp if set, then its other
-    attributes in key order.
+    Written as text, byte for byte what ElementTree.indent followed by
+    ElementTree.write (encoding="utf-8", xml_declaration=True) gives for
+    the log as an element tree: a <trace> per trace holding its
+    concept:name <string> and an <event> per event, each event holding its
+    concept:name, its lifecycle:transition and time:timestamp if set, then
+    its other attributes in key order.
     """
     if not log.traces:
         return (_XES_HEAD + " />").encode("utf-8", "xmlcharrefreplace")

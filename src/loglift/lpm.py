@@ -15,23 +15,32 @@ ProcessTree only once the candidate has scored. Shapes equal up to
 renaming share one automaton, built once for the tree with its activities
 named in the order they first appear, which each shape walks through its
 own renaming; candidates over one activity set share one projection
-Counter. A beam round gives every distinct renamed
-word an int id in one word table, and each shape's forward pass memoises
-word id -> coverage, so a shape walks a word at most once per round
-however many activity sets project onto it. The memo is the shape's own,
-not its shared automaton's: one word id means different words to different
-renamings. A memo hit is a word the shape has already walked in full, so
-it skips only a walk that would add no transition and step no Replay:
-state_limit is hit exactly as without the memo. A candidate covers at most
-the events its activity set has in the log, so a beam round scores
-activity sets by that bound, highest first, and stops at the first set
-whose bound is below the support of every candidate it would keep so far.
+Counter, one str.translate per trace coded as a string of one character
+per event (support() projects the same way). A beam round gives every
+distinct renamed word an int id in one word table, and each shape's
+forward pass memoises word id -> coverage, so a shape walks a word at
+most once per round however many activity sets project onto it. The memo
+is the shape's own, not its shared automaton's: one word id means
+different words to different renamings. A memo hit is a word the shape
+has already walked in full, so it skips only a walk that would add no
+transition and step no Replay: state_limit is hit exactly as without the
+memo. A candidate covers at most the events its activity set has in the
+log, so a beam round scores activity sets by that bound, highest first,
+and stops at the first set whose bound is below the support of every
+candidate it would keep so far.
 Once the round keeps a full top, its lowest support is a floor for each
 candidate too: scoring stops, and the candidate is dropped, as soon as the
 events its projections have left uncovered show that it cannot reach the
-floor. A dropped candidate stops stepping its shape's Replay, so
-state_limit, which bounds the markings of the Replay all renamings of a
-shape share, can be hit only by work that could still rank. segment()
+floor. A flat xor over a set accepts each of its events as a run of its
+own, so its support is the bound: a round first ranks every flat xor it
+grows at its bound, with no projection, walk or Replay, and so starts
+from the floor they give. and(x,y) is scored before seq(x,y) and
+seq(y,x), which accept a subset of its language: support is monotone in
+the language, so both are skipped when the and is below the floor. A
+dropped candidate stops stepping its shape's Replay, so state_limit,
+which bounds the markings of the Replay all renamings of a shape share,
+bounds only the Replays that are built (a flat xor builds none) and can
+be hit only by work that could still rank. segment()
 gets the split from the same forward pass, run backwards: over the
 reversed projection on the reversed net, its running totals are the best
 coverage of every suffix, and a forward walk from each position picks the
@@ -499,13 +508,25 @@ class _ForwardCoverage:
         return hit
 
 
-def _projections(traces_acts, names: dict[str, str]) -> Counter:
-    """Distinct projections of the traces onto the activities named in
-    names, each activity renamed to its name there, with multiplicities."""
-    return Counter(tuple(names[a] for a in t if a in names) for t in traces_acts)
+def _code_words(words) -> tuple[list[str], dict[str, int]]:
+    """Every word as a string of one character per event, and the code of
+    every activity: chr(code[a]) stands for a, codes numbered in the order
+    the activities first appear."""
+    code: dict[str, int] = {}
+    coded = ["".join([chr(code.setdefault(a, len(code))) for a in w]) for w in words]
+    return coded, code
 
 
-def _word_entries(projections: Counter, word_ids: dict[tuple, int]) -> tuple[list, int]:
+def _rank_projections(coded: list[str], code: dict[str, int], ordered) -> Counter:
+    """Distinct projections of the coded words onto the activities in
+    ordered, each renamed chr(its rank there), with multiplicities: one
+    str.translate per word, deleting every other activity."""
+    table: dict[int, int | None] = dict.fromkeys(code.values())
+    table.update({code[a]: r for r, a in enumerate(ordered) if a in code})
+    return Counter([w.translate(table) for w in coded])
+
+
+def _word_entries(projections: Counter, word_ids: dict[str, int]) -> tuple[list, int]:
     """The projections as (word id, word, multiplicity, events) entries,
     and their total events. word_ids is the word table: a word it lacks
     gets the next id. Coverage memos are keyed by these ids, so every
@@ -611,10 +632,12 @@ def support(log: EventLog, lpm: LocalProcessModel,
     One forward pass per distinct projection over the pattern's subset
     automaton, the pass that segment() runs backwards.
     """
-    entries, total = _word_entries(_projections((complete_word(t) for t in log),
-                                                {a: a for a in lpm.activities}), {})
+    ordered = sorted(lpm.activities)
+    coded, code = _code_words(complete_word(t) for t in log)
+    entries, total = _word_entries(_rank_projections(coded, code, ordered), {})
+    coverage = _ForwardCoverage(Replay(lpm.net, state_limit=state_limit))
     return _support(entries, total,
-                    _ForwardCoverage(Replay(lpm.net, state_limit=state_limit)))
+                    coverage.renamed({chr(r): a for r, a in enumerate(ordered)}))
 
 
 # -------------------------------------------------------------- discovery
@@ -646,6 +669,22 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     abandoned candidate ranks strictly below keep scored ones, so the
     ranking is the one scoring every candidate gives.
 
+    Two facts raise the floor early and cut more, without changing the
+    ranking. A flat xor over A (the xor of A's activities, a candidate
+    when a step grows a leaf or a flat xor) accepts every event of A as a
+    run of its own, so its support is freq(A), the bound itself. A round
+    therefore first yields each set's flat xor at freq(A), in the same
+    descending order and up to the same stop, with no projection, walk or
+    Replay: the top fills at once, and the round's other candidates are
+    scored against that floor. And support is monotone in the language
+    (a larger language accepts every run a smaller one does), while each
+    operator is monotone in its children, so a tree with leaf x grown by
+    seq(x,y) or seq(y,x) accepts a subset of the same tree grown by
+    and(x,y). Growth scores the and first, and when its support is below
+    the floor, or it was dropped, neither seq is scored. Both rely on
+    support being the maximum coverage of the language's runs; a score
+    without those two properties cannot use them.
+
     A candidate is grown and scored as its rank shape: the tree with every
     activity renamed to its rank in the sorted activity set (0, 1, ...),
     as nested int tuples, over the projections renamed the same way. A
@@ -659,12 +698,16 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     renaming. So state_limit bounds the markings of the Replay that all
     renamings of a shape share, which explores the words of all their
     candidates, not the markings of a Replay per candidate. A skipped
-    activity set builds no projections and no Replay, and an abandoned
-    candidate stops stepping its shape's Replay, so the limit can be hit
-    only by work that could still rank. Within one
+    activity set builds no projections and no Replay, a flat xor and a
+    skipped seq build no Replay, and an abandoned candidate stops stepping
+    its shape's Replay, so the limit bounds only the Replays that are
+    built and can be hit only by work that could still rank. Within one
     activity set the renaming is a bijection, so candidates are
     deduplicated on their rank shape, and a ProcessTree is built only for
     a candidate that keeps its support, a net only for a new automaton.
+    The projections of a set are one str.translate per trace, each trace
+    coded once as a string of one character per event: the translation
+    deletes the other activities and renames the set's own to chr(rank).
     Each distinct renamed word gets an int id from a word table shared by
     all activity sets of the round, built with each set's projections and
     their total events. A shape's forward pass memoises word id ->
@@ -684,12 +727,9 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
             raise ValueError(f"{name} must be >= 1, got {value}")
     if not isinstance(log, EventLog) or len(log) == 0:
         raise LogliftError("LPM discovery needs a non-empty event log")
-    freqs: Counter[str] = Counter()
-    traces_acts: list[tuple[str, ...]] = []
-    for trace in log:
-        acts = complete_word(trace)
-        traces_acts.append(acts)
-        freqs.update(acts)
+    words = [complete_word(trace) for trace in log]
+    freqs = Counter(a for w in words for a in w)
+    coded, code = _code_words(words)
     eligible = sorted(a for a, n in freqs.items() if n >= min_support)
     if not eligible:
         raise LogliftError(f"no activity reaches min_support={min_support}")
@@ -720,56 +760,85 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
         # candidates have exactly the activities have | {y}, so no tree is
         # grown from two sets, and the rank shape depends on y only by p.
         steps: dict[frozenset[str], list[tuple[tuple, int]]] = {}
+        # the sets with a flat xor candidate: grown from a leaf or a flat xor
+        flat: set[frozenset[str]] = set()
         for _key, tree in beam:
             acts = tree.activities()
             have = sorted(acts)
             by_p = [_rank_shape(tree, {a: i + (i >= p) for i, a in enumerate(have)})
                     for p in range(len(have) + 1)]
+            is_flat = tree.op is None or (tree.op == XOR
+                                          and all(c.op is None for c in tree.children))
             for y in eligible:
                 if y not in acts:
                     p = bisect.bisect(have, y)
                     steps.setdefault(acts | {y}, []).append((by_p[p], p))
+                    if is_flat:
+                        flat.add(acts | {y})
         by_bound = sorted((-sum(freqs[a] for a in acts), sorted(acts), acts)
                           for acts in steps)
         shapes: dict[tuple, _ForwardCoverage] = {}  # rank shape -> its view
         automata: dict[tuple, _ForwardCoverage] = {}  # shape up to renaming
-        word_ids: dict[tuple[int, ...], int] = {}  # the round's word table
+        word_ids: dict[str, int] = {}  # the round's word table
         top: list[int] = []  # min-heap of the best keep supports so far
+
+        def offer(s: int) -> None:
+            if len(top) < keep:
+                heapq.heappush(top, s)
+            elif s > top[0]:
+                heapq.heapreplace(top, s)
+
+        # the seed pass: every flat xor at its bound, highest first, so the
+        # top is full before the first walk
+        for neg_bound, ordered, acts in by_bound:
+            if len(top) == keep and -neg_bound < top[0]:
+                break
+            if acts in flat:
+                s = -neg_bound  # each event of the set is a run of its own
+                offer(s)
+                yield entry(_tree_of(_flat_xor(len(ordered)), [leaves[a] for a in ordered]),
+                            s, len(ordered))
         for neg_bound, ordered, acts in by_bound:
             if len(top) == keep and -neg_bound < top[0]:
                 return
-            rank = {a: i for i, a in enumerate(ordered)}
-            entries, total = _word_entries(_projections(traces_acts, rank), word_ids)
+            entries, total = _word_entries(_rank_projections(coded, code, ordered), word_ids)
             act_leaves = [leaves[a] for a in ordered]
-            seen: set[tuple] = set()
+            # candidate -> its support, None below the floor
+            seen: dict[tuple, int | None] = (
+                {_flat_xor(len(ordered)): -neg_bound} if acts in flat else {})
             for shape, p in steps[acts]:
                 for x in range(len(ordered)):
                     if x == p:
                         continue
-                    for candidate in _grow(shape, (_LEAF, x), variants[x, p]):
+                    # and(x,y) first: seq(x,y) and seq(y,x) accept a subset
+                    # of its language, so they cover no more events, and
+                    # when it is below the floor they are too
+                    for i, candidate in enumerate(_grow(shape, (_LEAF, x), variants[x, p])):
                         if candidate in seen:
+                            s = seen[candidate]
+                        elif i in (1, 2) and below:
+                            seen[candidate] = None
                             continue
-                        seen.add(candidate)
-                        coverage = shapes.get(candidate)
-                        if coverage is None:
-                            order: dict[int, int] = {}
-                            automaton_key = _by_appearance(candidate, order)
-                            automaton = automata.get(automaton_key)
-                            if automaton is None:
-                                automaton = automata[automaton_key] = _ForwardCoverage(Replay(
-                                    tree_to_net(_tree_of(automaton_key, appearance_leaves)),
-                                    state_limit=state_limit))
-                            coverage = shapes[candidate] = automaton.renamed(
-                                {r: str(k) for r, k in order.items()})
-                        floor = top[0] if len(top) == keep else None
-                        s = _support(entries, total, coverage, floor)
-                        if s is None:
-                            continue
-                        if floor is None:
-                            heapq.heappush(top, s)
-                        elif s > floor:
-                            heapq.heapreplace(top, s)
-                        yield entry(_tree_of(candidate, act_leaves), s, len(ordered))
+                        else:
+                            coverage = shapes.get(candidate)
+                            if coverage is None:
+                                order: dict[int, int] = {}
+                                automaton_key = _by_appearance(candidate, order)
+                                automaton = automata.get(automaton_key)
+                                if automaton is None:
+                                    automaton = automata[automaton_key] = _ForwardCoverage(
+                                        Replay(tree_to_net(_tree_of(automaton_key,
+                                                                    appearance_leaves)),
+                                               state_limit=state_limit))
+                                coverage = shapes[candidate] = automaton.renamed(
+                                    {chr(r): str(k) for r, k in order.items()})
+                            s = seen[candidate] = _support(
+                                entries, total, coverage, top[0] if len(top) == keep else None)
+                            if s is not None:
+                                offer(s)
+                                yield entry(_tree_of(candidate, act_leaves), s, len(ordered))
+                        if i == 0:
+                            below = s is None or (len(top) == keep and s < top[0])
 
     current = sorted((entry(leaves[a], freqs[a], 1) for a in eligible), key=order_key)
     ranked = current[:max_results]
@@ -801,11 +870,16 @@ def _rank_shape(tree: ProcessTree, rank: dict[str, int]) -> tuple:
 
 
 def _variants(x: tuple, y: tuple) -> tuple[tuple, ...]:
-    """seq(x,y), seq(y,x), xor(x,y), and(x,y), loop(x,y), loop(y,x) as
+    """and(x,y), seq(x,y), seq(y,x), xor(x,y), loop(x,y), loop(y,x) as
     shapes, for two leaves."""
     lo, hi = sorted((x, y))
-    return ((_CODE[SEQ], x, y), (_CODE[SEQ], y, x), (_CODE[XOR], lo, hi),
-            (_CODE[AND], lo, hi), (_CODE[LOOP], x, y), (_CODE[LOOP], y, x))
+    return ((_CODE[AND], lo, hi), (_CODE[SEQ], x, y), (_CODE[SEQ], y, x),
+            (_CODE[XOR], lo, hi), (_CODE[LOOP], x, y), (_CODE[LOOP], y, x))
+
+
+def _flat_xor(n: int) -> tuple:
+    """The rank shape of the xor of n leaves."""
+    return (_CODE[XOR], *((_LEAF, r) for r in range(n)))
 
 
 def _grow(shape: tuple, x: tuple, variants: tuple[tuple, ...]) -> list[tuple] | None:

@@ -618,29 +618,25 @@ def language_upto(apn: AcceptingPetriNet, max_visible_len: int,
                   state_limit: int = DEFAULT_STATE_LIMIT) -> set[tuple[str, ...]]:
     """All accepted words of at most the given visible length.
 
-    Test oracle and analysis helper; enumeration is breadth-first over
-    (marking, word) pairs, at most state_limit of them.
+    Test oracle and analysis helper. Enumeration is breadth-first over
+    Replay's subset automaton (enabled_labels, step), one state per prefix
+    that some run of the net can fire, so silent interleavings cost
+    nothing: state_limit bounds those prefixes, and the Replay's
+    markings.
     """
     rp = Replay(apn, state_limit=state_limit)
-    seen: set[tuple[int, tuple[str, ...]]] = set()
     out: set[tuple[str, ...]] = set()
-    start = (rp.initial_id, ())
-    queue = deque([start])
-    seen.add(start)
+    queue = deque([(rp.start_set_id, ())])
+    prefixes = 1
     while queue:
-        mid, word = queue.popleft()
-        if mid == rp.final_id:
+        sid, word = queue.popleft()
+        if rp._set_accepting[sid]:
             out.add(word)
-        silent, visible, _ = rp.successors(mid)
-        nexts = [(nxt, word) for _, nxt in silent]
         if len(word) < max_visible_len:
-            nexts += [(nxt, word + (rp.labels[t],)) for t, nxt in visible]
-        for new in nexts:
-            if new not in seen:
-                if len(seen) >= state_limit:
+            for b in sorted(rp.enabled_labels(sid)):
+                if prefixes >= state_limit:
                     raise SearchLimitError(
                         f"state limit {state_limit} exceeded while enumerating the language")
-                seen.add(new)
-                queue.append(new)
+                prefixes += 1
+                queue.append((rp.step(sid, b), word + (b,)))
     return out
-

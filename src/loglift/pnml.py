@@ -10,44 +10,64 @@ written as <toolspecific> blocks under the transition.
 """
 
 import os
-from xml.etree import ElementTree as ET
 
 from .errors import LogFormatError
-from .eventlog import read_xml, strip_ns, xml_bytes
+from .eventlog import _ATTR_ESCAPES, _TEXT_ESCAPES, _escape, read_xml, strip_ns
 from .petrinet import AcceptingPetriNet, Marking, PetriNet
 
 TOOL = "loglift"
 
 
 def write_pnml(apn: AcceptingPetriNet, transition_tags: dict[str, str] | None = None) -> bytes:
-    """Serialize an accepting net to PNML bytes (deterministic)."""
-    root = ET.Element("pnml")
-    net_el = ET.SubElement(root, "net", {"id": "net1",
-                                         "type": "http://www.pnml.org/version-2009/grammar/ptnet"})
-    page = ET.SubElement(net_el, "page", {"id": "page1"})
+    """Serialize an accepting net to PNML bytes (deterministic).
+
+    Written as text, byte for byte what ElementTree.indent followed by
+    ElementTree.write (encoding="utf-8", xml_declaration=True) gives for
+    the net as an element tree: places, transitions and arcs in id order
+    under <page>, then the final marking's <toolspecific> block.
+    """
+    tags = transition_tags or {}
+    parts = ['<?xml version=\'1.0\' encoding=\'utf-8\'?>\n<pnml>\n'
+             '  <net id="net1" type="http://www.pnml.org/version-2009/grammar/ptnet">']
+    page = []
     for p in sorted(apn.net.places):
-        p_el = ET.SubElement(page, "place", {"id": p})
         tokens = apn.initial.get(p, 0)
         if tokens:
-            mark_el = ET.SubElement(p_el, "initialMarking")
-            ET.SubElement(mark_el, "text").text = str(tokens)
+            page.append(f'\n      <place id="{_attr(p)}">\n        <initialMarking>'
+                        f'\n          <text>{tokens}</text>\n        </initialMarking>'
+                        '\n      </place>')
+        else:
+            page.append(f'\n      <place id="{_attr(p)}" />')
     for t in sorted(apn.net.transitions):
-        t_el = ET.SubElement(page, "transition", {"id": t})
         label = apn.net.labels.get(t)
+        inner = ""
         if label is not None:
-            name_el = ET.SubElement(t_el, "name")
-            ET.SubElement(name_el, "text").text = label
-        if transition_tags and t in transition_tags:
-            tag_el = ET.SubElement(t_el, "toolspecific", {"tool": TOOL, "version": "0.1"})
-            ET.SubElement(tag_el, "text").text = transition_tags[t]
+            inner += f"\n        <name>\n          {_text(label)}\n        </name>"
+        if t in tags:
+            inner += (f'\n        <toolspecific tool="{TOOL}" version="0.1">'
+                      f"\n          {_text(tags[t])}\n        </toolspecific>")
+        page.append(f'\n      <transition id="{_attr(t)}">{inner}\n      </transition>'
+                    if inner else f'\n      <transition id="{_attr(t)}" />')
     for i, (src, dst) in enumerate(sorted(apn.net.arcs)):
-        ET.SubElement(page, "arc", {"id": f"arc{i}", "source": src, "target": dst})
-    fin_el = ET.SubElement(net_el, "toolspecific", {"tool": TOOL, "version": "0.1"})
-    final_el = ET.SubElement(fin_el, "finalMarking")
-    for p in sorted(apn.final):
-        if apn.final[p]:
-            ET.SubElement(final_el, "place", {"idref": p, "tokens": str(apn.final[p])})
-    return xml_bytes(root)
+        page.append(f'\n      <arc id="arc{i}" source="{_attr(src)}" target="{_attr(dst)}" />')
+    parts.append(f'\n    <page id="page1">{"".join(page)}\n    </page>' if page
+                 else '\n    <page id="page1" />')
+    final = [f'\n        <place idref="{_attr(p)}" tokens="{apn.final[p]}" />'
+             for p in sorted(apn.final) if apn.final[p]]
+    parts.append(f'\n    <toolspecific tool="{TOOL}" version="0.1">')
+    parts.append(f'\n      <finalMarking>{"".join(final)}\n      </finalMarking>' if final
+                 else "\n      <finalMarking />")
+    parts.append("\n    </toolspecific>\n  </net>\n</pnml>")
+    return "".join(parts).encode("utf-8", "xmlcharrefreplace")
+
+
+def _attr(value: str) -> str:
+    return _escape(value, _ATTR_ESCAPES)
+
+
+def _text(value: str) -> str:
+    """A <text> element holding value."""
+    return f"<text>{_escape(value, _TEXT_ESCAPES)}</text>" if value else "<text />"
 
 
 def save_pnml(apn: AcceptingPetriNet, path: str,

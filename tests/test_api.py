@@ -119,3 +119,22 @@ def test_only_petrinet_align_pops_a_heap():
                 (inside if id(node) in in_align else outside).append((path.name, node.lineno))
     assert inside
     assert outside == []
+
+
+def test_every_private_helper_is_referenced():
+    # a private module-level function or class that nothing in the package
+    # names outside its own body is dead code left behind by a change
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    helpers = [(name, node) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    assert helpers
+    unreferenced = []
+    for name, helper in helpers:
+        own = {id(node) for node in ast.walk(helper)}
+        if not any((isinstance(node, ast.Name) and node.id == helper.name
+                    or isinstance(node, ast.Attribute) and node.attr == helper.name)
+                   and id(node) not in own
+                   for tree in trees.values() for node in ast.walk(tree)):
+            unreferenced.append((name, helper.lineno, helper.name))
+    assert unreferenced == []

@@ -7,11 +7,11 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-import loglift.pnml
-from loglift import (ConfigError, Event, EventLog, LogFormatError, Trace,
-                     generate_log, load_log, parse_csv, parse_tree, parse_xes,
-                     save_xes, tree_to_net, write_pnml, write_xes)
-from loglift.eventlog import complete_word, xml_bytes
+from loglift import (AcceptingPetriNet, ConfigError, Event, EventLog, LogFormatError,
+                     PetriNet, Trace, compose, generate_log, load_log, make_lpm,
+                     parse_csv, parse_tree, parse_xes, patterns_from_models, save_xes,
+                     tree_to_net, write_pnml, write_xes)
+from loglift.eventlog import complete_word
 from conftest import mk_log, mk_trace
 
 
@@ -253,10 +253,10 @@ def test_write_xes_returns_bytes():
     assert b"<log" in data
 
 
-# ------------------------------------------------------------ XML writer
+# ------------------------------------------------------------ XML writers
 
 def _indent_and_write(root):
-    """The reference xml_bytes matches: ElementTree.indent, then write."""
+    """What both writers match: ElementTree.indent, then write."""
     tree = ET.ElementTree(copy.deepcopy(root))
     ET.indent(tree)
     buf = io.BytesIO()
@@ -264,43 +264,72 @@ def _indent_and_write(root):
     return buf.getvalue()
 
 
-def _odd_elements():
-    odd = "x & y < z > w \" q \r\n\t end"
-    root = ET.Element("root", {"plain": "v", "odd": odd, "empty": ""})
-    ET.SubElement(root, "text").text = "a & b < c > d"
-    ET.SubElement(root, "blank").text = "  \n "
-    ET.SubElement(root, "empty").text = ""
-    ET.SubElement(root, "surrogate", {"value": "lone \ud800 here"}).text = "and \udfff"
-    parent = ET.SubElement(root, "parent", {"k": odd})
-    parent.text = " \n"
-    ET.SubElement(ET.SubElement(parent, "child"), "grandchild", {"k": "\t"})
-    texty = ET.SubElement(root, "texty")
-    texty.text = "kept & escaped"
-    ET.SubElement(texty, "child")
-    return [root, ET.Element("alone"), ET.Element("alone", {"k": "<&>"}),
-            _with_text(ET.Element("alone"), "a & b"), _with_text(ET.Element("alone"), "  ")]
+def _pnml_element_tree(apn, tags):
+    """The element tree write_pnml serializes, built as it once built it."""
+    root = ET.Element("pnml")
+    net_el = ET.SubElement(root, "net", {"id": "net1",
+                                         "type": "http://www.pnml.org/version-2009/grammar/ptnet"})
+    page = ET.SubElement(net_el, "page", {"id": "page1"})
+    for p in sorted(apn.net.places):
+        p_el = ET.SubElement(page, "place", {"id": p})
+        if apn.initial.get(p, 0):
+            mark_el = ET.SubElement(p_el, "initialMarking")
+            ET.SubElement(mark_el, "text").text = str(apn.initial[p])
+    for t in sorted(apn.net.transitions):
+        t_el = ET.SubElement(page, "transition", {"id": t})
+        if apn.net.labels.get(t) is not None:
+            ET.SubElement(ET.SubElement(t_el, "name"), "text").text = apn.net.labels[t]
+        if tags and t in tags:
+            tag_el = ET.SubElement(t_el, "toolspecific", {"tool": "loglift", "version": "0.1"})
+            ET.SubElement(tag_el, "text").text = tags[t]
+    for i, (src, dst) in enumerate(sorted(apn.net.arcs)):
+        ET.SubElement(page, "arc", {"id": f"arc{i}", "source": src, "target": dst})
+    fin_el = ET.SubElement(net_el, "toolspecific", {"tool": "loglift", "version": "0.1"})
+    final_el = ET.SubElement(fin_el, "finalMarking")
+    for p in sorted(apn.final):
+        if apn.final[p]:
+            ET.SubElement(final_el, "place", {"idref": p, "tokens": str(apn.final[p])})
+    return root
 
 
-def _with_text(el, text):
-    el.text = text
-    return el
+ODD = "x & y < z > w \" q \r\n\t end \ud800"
 
 
-def test_xml_bytes_matches_indent_and_write(monkeypatch):
-    roots = _odd_elements()
-
-    def capturing(root):
-        roots.append(root)
-        return xml_bytes(root)
-
-    monkeypatch.setattr(loglift.pnml, "xml_bytes", capturing)
+def _odd_nets():
+    """(net, transition tags) pairs: escapes in every id, label and tag, a
+    lone surrogate, empty and whitespace-only text, an empty page, no
+    final marking, several tokens."""
     apn = tree_to_net(parse_tree("seq('a & b',loop('<c>',tau))"))
-    write_pnml(apn, {t: "tag & <x>" for t in apn.net.transitions})
-    assert len(roots) == 6
-    for root in roots:
-        before = ET.tostring(root)
-        assert xml_bytes(root) == _indent_and_write(root), ET.tostring(root)
-        assert ET.tostring(root) == before
+    ts = sorted(apn.net.transitions)
+    odd = AcceptingPetriNet(
+        net=PetriNet(places={ODD, "q"}, transitions={"t" + ODD, "u", "v"},
+                     arcs={(ODD, "t" + ODD), ("t" + ODD, "q"), ("q", "u"), ("u", ODD)},
+                     labels={"t" + ODD: ODD, "u": "", "v": "  \n "}),
+        initial={ODD: 2}, final={"q": 3, ODD: 0})
+    empty = AcceptingPetriNet(net=PetriNet(places=set(), transitions=set(), arcs=set(),
+                                           labels={}), initial={}, final={})
+    return [(apn, None), (apn, {t: "tag & <x>" for t in ts}),
+            (apn, {ts[0]: "", ts[1]: "  "}), (odd, {"u": ODD, "v": "v"}),
+            (odd, None), (empty, None), (empty, {})]
+
+
+def test_xml_writers_match_indent_and_write():
+    for apn, tags in _odd_nets():
+        assert write_pnml(apn, tags) == _indent_and_write(_pnml_element_tree(apn, tags))
+    patterns = patterns_from_models([make_lpm(parse_tree(t)) for t in
+                                     ("seq(a,b,c)", "and(d,xor(e,tau))", "loop(f,g)")])
+    for composition in ("interleaving", "parallel"):
+        model = compose(patterns, composition)
+        tags = model.transition_tags()
+        assert tags
+        assert (write_pnml(model.net, tags)
+                == _indent_and_write(_pnml_element_tree(model.net, tags)))
+    odd_log = EventLog(traces=[
+        Trace(case_id=ODD, events=[Event(activity=ODD, lifecycle=" ",
+                                         attributes={ODD: ODD, "": "", "k": "  \n "})]),
+        Trace(case_id="", events=[Event(activity="a")])])
+    for log in (odd_log, mk_log(["ab", "", "ba"])):
+        assert write_xes(log) == _indent_and_write(_xes_element_tree(log))
 
 
 def _xes_element_tree(log):

@@ -1,6 +1,7 @@
 """Process trees, pattern nets, segmentation, LPM mining and filtering."""
 
 import hashlib
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -237,11 +238,24 @@ def _counting_replays(monkeypatch):
     return built
 
 
+def _is_flat_xor(tree):
+    return tree.op == "xor" and all(c.op is None for c in tree.children)
+
+
 def test_discover_lpms_builds_one_replay_per_shape(monkeypatch):
     # a shape is a tree up to renaming: shapes equal once activities are
     # named by first appearance share one Replay, however their activities
-    # rank in the sorted activity set
+    # rank in the sorted activity set; a flat xor is scored without a walk,
+    # so only the shapes that were walked build one
     built = _counting_replays(monkeypatch)
+    walked_replays = []
+    walk = loglift.lpm._ForwardCoverage.__call__
+
+    def recording_walk(self, projected):
+        walked_replays.append(self._rp)
+        return walk(self, projected)
+
+    monkeypatch.setattr(loglift.lpm._ForwardCoverage, "__call__", recording_walk)
     log = _planted_log(traces=10, instances=2, seed=11)
     ranking = discover_lpms(log, max_results=10**6)
     candidates = [m for m in ranking if len(m.activities) > 1]
@@ -251,7 +265,9 @@ def test_discover_lpms_builds_one_replay_per_shape(monkeypatch):
         names = {a: str(i) for i, a in enumerate(sorted(m.activities))}
         rank_shapes.add(_shape_text(m.tree, names))
         shapes.add(_shape_text(m.tree, _first_appearance(m.tree)))
-    assert len(built) == len(shapes)
+    walked = {s for s in shapes if not _is_flat_xor(parse_tree(s))}
+    assert len(shapes) - len(walked) == 3  # xor(0,1), xor(0,1,2), xor(0,1,2,3)
+    assert len(built) == len({id(rp) for rp in walked_replays}) == len(walked)
     assert len(built) < len(rank_shapes)
     assert len(built) * 10 < len(candidates)
 
@@ -265,7 +281,8 @@ def test_discover_lpms_renamings_of_one_shape_keep_their_own_supports(monkeypatc
     ranking = discover_lpms(log, max_activities=2, max_results=10**6)
     pairs = [m for m in ranking if len(m.activities) == 2]
     assert len(pairs) == 6
-    assert len(built) == 4
+    # the seq, and and loop shapes; xor(a,b) is scored without a walk
+    assert len(built) == 3
     by_tree = {str(m.tree): m.support for m in ranking}
     assert by_tree["seq(a,b)"] == 10
     assert by_tree["seq(b,a)"] == 0
@@ -366,7 +383,8 @@ def test_discover_lpms_grows_every_candidate_the_constructors_grow(monkeypatch):
 def test_discover_lpms_builds_a_tree_only_for_a_candidate_it_keeps(monkeypatch):
     # growth dedups and scores candidates without building them; a
     # ProcessTree is built for a candidate once _support has returned its
-    # support, and for no other
+    # support, or for a flat xor the round seeds at its bound, and for no
+    # other
     built = []
 
     class CountingTree(ProcessTree):
@@ -391,8 +409,9 @@ def test_discover_lpms_builds_a_tree_only_for_a_candidate_it_keeps(monkeypatch):
     # roots over the log's activities; the automata's trees are over "0", "1", ...
     candidates = [t for t in built if t.op is not None and id(t) not in children
                   and t.activities() <= log.alphabet()]
-    assert kept
-    assert len(candidates) == len(kept)
+    seeded = [t for t in candidates if _is_flat_xor(t)]
+    assert kept and seeded
+    assert len(candidates) == len(kept) + len(seeded)
 
 
 # sha256 of index.tsv (rank, support, diversity, activities, tree) of one
@@ -472,6 +491,114 @@ def test_discover_lpms_floor_stops_scoring_candidates(monkeypatch):
     monkeypatch.setattr(loglift.lpm, "_support", counting_support)
     discover_lpms(_planted_log(traces=10, instances=2, seed=11))
     assert len(walked) * 2 < sum(offered)
+
+
+def _random_log(seed):
+    rng = random.Random(seed)
+    return mk_log(["".join(rng.choice("abcdef") for _ in range(rng.randint(1, 8)))
+                   for _ in range(rng.randint(5, 15))])
+
+
+def _flat_xors_score_their_walked_support(discover, log):
+    """Every flat xor discover ranks has the support its own net walks to,
+    with and without a full top to prune by."""
+    for kwargs in ({}, {"beam_width": 3, "max_results": 3}):
+        flat = [m for m in discover(log, **kwargs) if _is_flat_xor(m.tree)]
+        assert flat
+        if any(m.support != support(log, make_lpm(m.tree)) for m in flat):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_discover_lpms_seeds_flat_xors_at_their_walked_support(seed, monkeypatch):
+    # a flat xor is ranked at its set's event count without a walk; that is
+    # the support the forward pass gives its own net, and no automaton is
+    # ever built for one
+    log = _random_log(seed)
+    automata = []
+    to_net = loglift.lpm.tree_to_net
+
+    def recording(tree):
+        automata.append(tree)
+        return to_net(tree)
+
+    monkeypatch.setattr(loglift.lpm, "tree_to_net", recording)
+    for kwargs in ({}, {"beam_width": 3, "max_results": 3}):
+        discover_lpms(log, **kwargs)
+    # automata are over the leaves "0", "1", ...; the rest are ranked models
+    shapes = [t for t in automata if not t.activities() & log.alphabet()]
+    assert shapes
+    assert not any(_is_flat_xor(t) for t in shapes)
+    monkeypatch.undo()
+    assert _flat_xors_score_their_walked_support(discover_lpms, log)
+
+
+def _discover_mutant(old, new):
+    """The namespace of a copy of discover_lpms compiled with old replaced
+    by new in its source."""
+    source = inspect.getsource(loglift.lpm.discover_lpms)
+    assert source.count(old) == 1
+    namespace = dict(vars(loglift.lpm))
+    exec(compile(source.replace(old, new), loglift.lpm.__file__, "exec"), namespace)
+    return namespace
+
+
+def _keeps_unpruned_ranking(discover, log):
+    full = _ranked(discover_lpms(log, max_results=10**6))
+    return all(_ranked(discover(log, max_results=n)) == full[:n] for n in (20, 50))
+
+
+def _seq_skip_log():
+    # its round 3 has and(x,y) candidates tying the floor whose seq(x,y)
+    # ties it too and ranks ahead of them, by the operator order
+    return generate_log([parse_tree(t) for t in ("seq(a,b,c)", "and(d,e)", "loop(f,g)")],
+                        instances=2, traces=10, composition="interleaving",
+                        noise_rate=0.3, seed=15)
+
+
+def test_discover_lpms_skips_seqs_under_an_and_below_the_floor(monkeypatch):
+    # seq(x,y) and seq(y,x) accept a subset of and(x,y)'s language, so they
+    # are not scored once the and falls below the floor; each skip is one
+    # _support call the search saves
+    log = _seq_skip_log()
+    calls = []
+    scored = loglift.lpm._support
+
+    def counting(*args):
+        calls.append(1)
+        return scored(*args)
+
+    monkeypatch.setattr(loglift.lpm, "_support", counting)
+    no_skip = _discover_mutant("elif i in (1, 2) and below:", "elif False:")
+    no_skip["_support"] = counting
+    for n in (20, 50):
+        calls.clear()
+        ranking = _ranked(discover_lpms(log, max_results=n))
+        skipping = len(calls)
+        calls.clear()
+        assert _ranked(no_skip["discover_lpms"](log, max_results=n)) == ranking
+        assert len(calls) - skipping > 100
+    assert _keeps_unpruned_ranking(discover_lpms, log)
+
+
+SEARCH_MUTANTS = {
+    "flat xor seeded below its bound": ("s = -neg_bound  #", "s = -neg_bound - 1  #"),
+    "seqs skipped when the and ties the floor": ("s < top[0])", "s <= top[0])"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_MUTANTS))
+def test_discover_lpms_mutant_is_caught(name):
+    discover = _discover_mutant(*SEARCH_MUTANTS[name])["discover_lpms"]
+    planted = [generate_log([parse_tree(t) for t in ("seq(a,b,c)", "and(d,e)", "loop(f,g)")],
+                            instances=2, traces=10, composition=composition,
+                            noise_rate=0.3, seed=seed)
+               for seed in (11, 12, 13) for composition in ("interleaving", "parallel")]
+    assert not (all(_flat_xors_score_their_walked_support(discover, _random_log(seed))
+                    for seed in range(6))
+                and all(_keeps_unpruned_ranking(discover, log)
+                        for log in [_seq_skip_log()] + planted))
 
 
 def test_discover_lpms_walks_each_word_once_per_shape(monkeypatch):

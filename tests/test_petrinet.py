@@ -239,6 +239,53 @@ def test_language_upto_n1():
                     ("B", "B", "B", "C")}
 
 
+def test_language_upto_counts_prefixes_not_silent_interleavings():
+    # 36 places, three silent and-splits and silent loop redos: its (marking,
+    # word) pairs up to length 5 exceed 100,000, but it has 303 prefixes of
+    # at most 5 events (and 6,914 markings), none of them accepted
+    apn = tree_to_net(parse_tree(
+        "and(seq(xor(a,c,d),and(a,d,d),and(tau,tau,tau)),seq(d,tau,c),loop(d,tau),"
+        "loop(tau,loop(tau,c)),tau,tau)"))
+    assert len(apn.net.places) == 36
+    assert language_upto(apn, 5) == set()
+    assert language_upto(apn, 5, state_limit=10_000) == set()
+    # every word over a, b, c: 1 + 3 + ... + 3**5 = 364 prefixes, 4 markings
+    flower = tree_to_net(parse_tree("loop(xor(a,b,c),tau)"))
+    assert len(language_upto(flower, 5, state_limit=364)) == 363
+    with pytest.raises(SearchLimitError, match="enumerating the language"):
+        language_upto(flower, 5, state_limit=363)
+
+
+def brute_language(apn, max_len):
+    """language_upto by the firing rule alone: breadth-first over (dense
+    marking, word) pairs, every silent interleaving its own pair."""
+    rp = Replay(apn)
+    start = (rp._marks[rp.initial_id], ())
+    final = rp._marks[rp.final_id]
+    seen = {start}
+    todo = [start]
+    words = set()
+    while todo:
+        m, word = todo.pop()
+        if m == final:
+            words.add(word)
+        for t in brute_enabled(rp, m):
+            label = rp.labels[t]
+            if label is None or len(word) < max_len:
+                nxt = (brute_fire(rp, m, t), word if label is None else word + (label,))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return words
+
+
+def test_language_upto_matches_the_firing_rule():
+    # language_upto walks Replay's set steps, as accepts does, so criterion
+    # 5's agreement between the two needs this independent oracle
+    for apn, _words in reduction_cases():
+        assert language_upto(apn, 4) == brute_language(apn, 4)
+
+
 def test_replay_state_limit_guard():
     # Unbounded token growth: t produces into p without consuming.
     net = PetriNet(places={"p", "q"}, transitions={"t", "u"},
