@@ -13,7 +13,11 @@ run here over the markings of one Replay of the composed net
 net up to its foreign events, as most do, is aligned by the search's
 first phase, which settles only zero-cost moves and uses no heap. The
 Replay's state limit bounds both the markings it interns and the states
-each alignment settles.
+each alignment settles. A trace is lifted straight from the search's
+path of (log position, transition, advanced) steps, reading each
+transition's pattern and role from a list indexed like the Replay's
+transitions; an Alignment builds AlignmentMoves only when its moves are
+read.
 Alignment move costs: synchronous and silent model moves are free, log
 moves and visible model moves cost one. Minimum total cost
 alone does not pin down the occurrence structure, so ties break
@@ -32,6 +36,7 @@ demoted back to plain low-level events. Occurrences that complete silently
 last synchronous move.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,10 +110,36 @@ class AlignmentMove:
 
 @dataclass
 class Alignment:
-    moves: list[AlignmentMove]
-    cost: int
+    """An alignment of a word against a Replay's net, kept as the path
+    petrinet.align returns for it: (log position, transition index or None
+    for a log move, advanced) steps. The moves are built from the path
+    when they are first read."""
     # (total cost, gap moves, visible model moves)
     cost_vector: tuple[int, int, int]
+    _path: list[tuple[int, int | None, bool]] = field(repr=False)
+    _events: Sequence[str] = field(repr=False)
+    _rp: Replay = field(repr=False, compare=False)
+
+    @property
+    def cost(self) -> int:
+        return self.cost_vector[0]
+
+    @cached_property
+    def moves(self) -> list[AlignmentMove]:
+        events, rp = self._events, self._rp
+        moves: list[AlignmentMove] = []
+        for pos, t, advanced in self._path:
+            if t is None:
+                moves.append(AlignmentMove(LOG, log_index=pos, activity=events[pos]))
+            elif rp.labels[t] is None:
+                moves.append(AlignmentMove(TAU, transition=rp.transitions[t]))
+            elif advanced:
+                moves.append(AlignmentMove(SYNC, log_index=pos, transition=rp.transitions[t],
+                                           activity=events[pos]))
+            else:
+                moves.append(AlignmentMove(MODEL, transition=rp.transitions[t],
+                                           activity=rp.labels[t]))
+        return moves
 
 
 @dataclass
@@ -213,7 +244,8 @@ def align_words(events, rp: Replay, gap_oracle=None) -> Alignment:
     final one: it lexicographically minimizes (total cost, gap moves,
     visible model moves), gap_oracle mapping a marking id to the
     activities whose log move counts as a gap move there (none without an
-    oracle, as for plain nets). Its path becomes the moves. An unreachable
+    oracle, as for plain nets). The Alignment keeps its path and builds
+    the moves from it only when they are read. An unreachable
     final marking raises LogliftError; settling more than rp.state_limit
     states, or rp interning more than that many markings, raises
     SearchLimitError. The empty word's alignment costs the net's shortest
@@ -222,19 +254,7 @@ def align_words(events, rp: Replay, gap_oracle=None) -> Alignment:
     final = rp.final_id
     cost_vector, path = align(events, rp, rp.successors, rp.initial_id,
                               lambda mid: mid == final, gap_oracle)
-    moves: list[AlignmentMove] = []
-    for pos, t, advanced in path:
-        if t is None:
-            moves.append(AlignmentMove(LOG, log_index=pos, activity=events[pos]))
-        elif rp.labels[t] is None:
-            moves.append(AlignmentMove(TAU, transition=rp.transitions[t]))
-        elif advanced:
-            moves.append(AlignmentMove(SYNC, log_index=pos, transition=rp.transitions[t],
-                                       activity=events[pos]))
-        else:
-            moves.append(AlignmentMove(MODEL, transition=rp.transitions[t],
-                                       activity=rp.labels[t]))
-    return Alignment(moves=moves, cost=cost_vector[0], cost_vector=cost_vector)
+    return Alignment(cost_vector, path, events, rp)
 
 
 # ------------------------------------------------------------- abstraction
@@ -247,10 +267,13 @@ class _Instance:
     complete_modeled: bool = False
 
 
-def _lift_trace(alignment: Alignment, originals: list[Event], model: AbstractionModel,
+def _lift_trace(path, originals: list[Event], labels: list[str | None],
+                roles: list[tuple[str, str | None] | None], alphabet: frozenset[str],
                 keep_foreign: bool) -> list[Event]:
-    """One trace's events lifted along the alignment of its originals."""
-    alphabet = model.pattern_alphabet
+    """One trace's events lifted along the alignment path of its originals
+    (petrinet.align's (log position, transition index, advanced) steps);
+    labels and roles are indexed by transition: its label, and its
+    (pattern name, role) in the abstraction model or None."""
     # (log index, emission order, event): events at one index keep their order
     emitted: list[tuple[int, int, Event]] = []
 
@@ -270,12 +293,15 @@ def _lift_trace(alignment: Alignment, originals: list[Event], model: Abstraction
             emit(inst.start_sync, Event(activity=inst.pattern, lifecycle=START))
         emit(max(inst.sync_indices), Event(activity=inst.pattern, lifecycle=COMPLETE))
 
-    for move in alignment.moves:
-        if move.kind == LOG:
-            if move.activity in alphabet or keep_foreign:
-                emit(move.log_index, originals[move.log_index])
+    for pos, t, advanced in path:
+        if t is None:
+            # log move
+            if keep_foreign or originals[pos].activity in alphabet:
+                emit(pos, originals[pos])
             continue
-        name, role = model.roles.get(move.transition, (None, None))
+        if roles[t] is None:
+            continue
+        name, role = roles[t]
         if role == OPEN:
             if name in open_instances:
                 raise PatternError(f"overlapping occurrences of pattern {name}")
@@ -284,15 +310,17 @@ def _lift_trace(alignment: Alignment, originals: list[Event], model: Abstraction
             inst = open_instances.pop(name, None)
             if inst is not None:
                 finalize(inst)
-        elif name is not None:
+        else:
             inst = open_instances.get(name)
             if inst is None:
                 continue
-            if move.kind == SYNC:
-                inst.sync_indices.append(move.log_index)
+            if advanced:
+                # synchronous move
+                inst.sync_indices.append(pos)
                 if role == START and inst.start_sync is None:
-                    inst.start_sync = move.log_index
-            elif move.kind == MODEL and role == COMPLETE:
+                    inst.start_sync = pos
+            elif role == COMPLETE and labels[t] is not None:
+                # visible model move
                 inst.complete_modeled = True
 
     for inst in open_instances.values():
@@ -307,7 +335,9 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
     """Replace matched pattern occurrences by high-level events.
 
     One Replay of the model's net, with state_limit, and one gap oracle
-    over it align every trace's complete word. Emits one complete event
+    over it align every trace's complete word, and each trace is lifted
+    straight from its alignment's path, with the model's roles listed by
+    the Replay's transition index once. Emits one complete event
     per reported occurrence (and a start event when the occurrence's
     starting transition fired synchronously). Log moves over pattern
     activities stay as low-level events; events of demoted occurrences
@@ -321,6 +351,8 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
         raise SearchLimitError(
             f"{err} (building the Replay of the abstraction model)") from err
     gap_oracle = _GapOracle(model, rp)
+    roles = [model.roles.get(t) for t in rp.transitions]
+    alphabet = model.pattern_alphabet
     traces = []
     for trace in log:
         originals = [e for e in trace.events if e.is_complete()]
@@ -329,7 +361,8 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
         except SearchLimitError as err:
             raise SearchLimitError(f"{err} (case {trace.case_id})") from err
         traces.append(Trace(case_id=trace.case_id,
-                            events=_lift_trace(alignment, originals, model, keep_foreign)))
+                            events=_lift_trace(alignment._path, originals, rp.labels, roles,
+                                               alphabet, keep_foreign)))
     return EventLog(traces=traces)
 
 

@@ -28,10 +28,16 @@ cheapest alignment of a word is a cheapest path in the subset automaton:
 a log move keeps the set, a synchronous or visible model move on a label
 steps the set by it, and the goal is the whole word read in a set holding
 the final marking. The silent interleavings of a concurrent net, which a
-marking-level search expands one by one, never become states. A word
-the net accepts, once its foreign events are dropped, is aligned by the
-search's first phase alone, over synchronous moves and log moves of
-foreign events, without a heap.
+marking-level search expands one by one, never become states.
+
+Most words are not searched at all. Over sets, the search's first phase
+is one path: a word's visible events (those in the net's alphabet) step
+the set, its foreign events are log moves. So evaluate walks each
+distinct word's visible events through the precision prefix automaton,
+and a walk that ends in an accepting set is that phase's alignment: it
+costs the word's foreign events, and its visible run is its visible
+events. Only the empty word, whose alignment gives the shortest visible
+run, and the words whose walk ends elsewhere are searched.
 """
 
 from collections import Counter
@@ -107,20 +113,30 @@ def align_words(word, rp: Replay) -> tuple[int, list[str]]:
 
 def evaluate(log: EventLog, net: AcceptingPetriNet,
              state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
-    """Fitness, precision, and F-score in one pass (alignments are shared).
+    """Fitness, precision, and F-score in one pass over the distinct words.
 
     One Replay serves every alignment, the empty word's for the shortest
     visible run among them, and the precision marking sets. It is built
     from reduce_silent(net), which keeps the visible language and the
-    labels enabled after each prefix, so scores are the net's. Each
-    alignment is petrinet.align over that Replay's marking sets, stepping
-    them through Replay.set_successors, and a set step interns every
-    marking of its silent closure, so state_limit bounds the markings of
-    the reduced net the shared Replay interns, whole closures included,
-    and also the (marking set, log position) states each alignment
-    settles. A SearchLimitError from building the Replay says so; one from
-    aligning a trace's word names the first case with it; one from the
-    empty word's search says it was searching the shortest visible run.
+    labels enabled after each prefix, so scores are the net's. Each word
+    is first walked through the precision prefix automaton, stepping its
+    sets by the word's visible events (those in the net's alphabet). A
+    walk that ends in an accepting set is the alignment the search's
+    first phase would return: the word costs its foreign events, and its
+    visible run is its visible events. Only the empty word and the words
+    whose walk does not end in an accepting set are searched:
+    petrinet.align over the Replay's marking sets, stepping them through
+    Replay.set_successors.
+
+    A set step interns every marking of its silent closure, so
+    state_limit bounds the markings of the reduced net the shared Replay
+    interns, whole closures included, on a walk as in a search; it also
+    bounds the (marking set, log position) states each search settles. A
+    walked word settles none, so an accepted word of any length
+    evaluates. A SearchLimitError from building the Replay says so; one
+    from walking or aligning a trace's word names the first case with
+    it; one from the empty word's search says it was searching the
+    shortest visible run.
     """
     trace_words = [complete_word(t) for t in log]
     words = Counter(trace_words)
@@ -137,19 +153,46 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
             f"{err} (searching the shortest visible run of the model)") from err
 
     # prefix automaton of aligned visible model runs: a state per distinct
-    # visible prefix, holding the Replay set of markings that prefix
-    # reaches, the labels taken onward, and how many traces passed through
-    children: dict[tuple[int, str], int] = {}
+    # visible prefix, holding its children by label, the Replay set of
+    # markings that prefix reaches, and how many traces passed through. A
+    # label is taken onward from a prefix when its child has a weight
+    children: list[dict[str, int]] = [{}]
     marks: list[int] = [rp.start_set_id]
-    taken: list[set[str]] = [set()]
     weight: list[int] = [0]
+    dead, accepting = rp.empty_set_id, rp._set_accepting
 
+    def walk(labels) -> list[int]:
+        """The prefix automaton's states along labels from its root, new
+        ones added; it stops before a label the current set cannot step."""
+        state = 0
+        states = [0]
+        for label in labels:
+            nxt = children[state].get(label)
+            if nxt is None:
+                sid = rp.step(marks[state], label)
+                if sid == dead:
+                    break
+                nxt = children[state][label] = len(marks)
+                marks.append(sid)
+                children.append({})
+                weight.append(0)
+            states.append(nxt)
+            state = nxt
+        return states
+
+    alphabet = set(rp.labels) - {None}
     cost_of: dict[tuple[str, ...], int] = {}
     fit_sum = 0.0
     total = 0
     for word, mult in words.items():
+        run = [a for a in word if a in alphabet]
         try:
-            cost, run = align_words(word, rp)
+            states = walk(run)
+            if len(states) > len(run) and accepting[marks[states[-1]]]:
+                cost = len(word) - len(run)
+            else:
+                cost, run = align_words(word, rp)
+                states = walk(run)
         except SearchLimitError as err:
             case = next(t.case_id for t, w in zip(log, trace_words) if w == word)
             raise SearchLimitError(f"{err} (case {case})") from err
@@ -157,27 +200,18 @@ def evaluate(log: EventLog, net: AcceptingPetriNet,
         denom = len(word) + minlen
         fit_sum += mult * (1.0 - cost / denom if denom else 1.0)
         total += mult
-
-        state = 0
-        weight[0] += mult
-        for label in run:
-            taken[state].add(label)
-            nxt = children.get((state, label))
-            if nxt is None:
-                nxt = len(marks)
-                children[(state, label)] = nxt
-                marks.append(rp.step(marks[state], label))
-                taken.append(set())
-                weight.append(0)
-            state = nxt
+        for state in states:
             weight[state] += mult
 
+    # a taken label is enabled, as its child's set is not empty
     escaping = 0
     enabled_total = 0
     for state, sid in enumerate(marks):
-        enabled = rp.enabled_labels(sid)
-        escaping += weight[state] * len(enabled - taken[state])
-        enabled_total += weight[state] * len(enabled)
+        if weight[state]:
+            enabled = len(rp.enabled_labels(sid))
+            taken = sum(1 for nxt in children[state].values() if weight[nxt])
+            escaping += weight[state] * (enabled - taken)
+            enabled_total += weight[state] * enabled
 
     fit = fit_sum / total
     prec = 1.0 - escaping / enabled_total if enabled_total else 1.0

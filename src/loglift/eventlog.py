@@ -132,42 +132,43 @@ def parse_xes(source) -> EventLog:
         raise LogFormatError(f"expected <log> root element, found <{strip_ns(root.tag)}>")
 
     log = EventLog()
-    for ti, trace_el in enumerate(el for el in root if strip_ns(el.tag) == "trace"):
+    traces = log.traces
+    ti = -1
+    for trace_el in root:
+        if strip_ns(trace_el.tag) != "trace":
+            continue
+        ti += 1
         case_id = str(ti)
         events: list[Event] = []
         for child in trace_el:
-            tag = strip_ns(child.tag)
-            if tag == "string" and child.get("key") == "concept:name":
-                case_id = child.get("value", case_id)
-            elif tag == "event":
-                events.append(_parse_event(child, ti, case_id))
-        log.traces.append(Trace(case_id=case_id, events=events))
+            tag = child.tag
+            # write_xes writes un-namespaced events, which need no strip_ns
+            if tag != "event" and (tag := strip_ns(tag)) != "event":
+                if tag == "string" and child.get("key") == "concept:name":
+                    case_id = child.get("value", case_id)
+                continue
+            activity = lifecycle = timestamp = None
+            attributes: dict[str, str] = {}
+            for attr in child:
+                key = attr.get("key")
+                value = attr.get("value")
+                if key is None or value is None:
+                    continue
+                if key == "concept:name":
+                    activity = value
+                elif key == "lifecycle:transition":
+                    lifecycle = value.lower()
+                elif key == "time:timestamp":
+                    timestamp = _parse_timestamp(value, f"trace {case_id!r} (index {ti})")
+                else:
+                    attributes[key] = value
+            if not activity:
+                problem = ("without concept:name" if activity is None
+                           else "with empty concept:name")
+                raise LogFormatError(f"event {problem} in trace {case_id!r} (index {ti})")
+            events.append(Event(activity, lifecycle, timestamp, attributes))
+        traces.append(Trace(case_id=case_id, events=events))
     return log
-
-
-def _parse_event(event_el, trace_index: int, case_id: str) -> Event:
-    activity = None
-    lifecycle = None
-    timestamp = None
-    attributes: dict[str, str] = {}
-    for attr in event_el:
-        key = attr.get("key")
-        value = attr.get("value")
-        if key is None or value is None:
-            continue
-        if key == "concept:name":
-            activity = value
-        elif key == "lifecycle:transition":
-            lifecycle = value.lower()
-        elif key == "time:timestamp":
-            timestamp = _parse_timestamp(value, f"trace {case_id!r} (index {trace_index})")
-        else:
-            attributes[key] = value
-    if not activity:
-        problem = "without concept:name" if activity is None else "with empty concept:name"
-        raise LogFormatError(f"event {problem} in trace {case_id!r} (index {trace_index})")
-    return Event(activity=activity, lifecycle=lifecycle, timestamp=timestamp,
-                 attributes=attributes)
 
 
 # --------------------------------------------------------------- XES output

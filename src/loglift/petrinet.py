@@ -15,6 +15,7 @@ reduce_silent a smaller copy with the same visible language.
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import LogliftError, PatternError, SearchLimitError
 
@@ -280,11 +281,9 @@ class Replay:
         scans each marking once."""
         m = self._marks[mid]
         pre = self.pre
-        candidates = set(self._unguarded)
-        for p, c in enumerate(m):
-            if c >= 1:
-                candidates.update(self._consumers[p])
-        return sorted(t for t in candidates if all(m[p] >= 1 for p in pre[t]))
+        marked = m.__getitem__
+        candidates = set(self._unguarded).union(*compress(self._consumers, m))
+        return sorted(t for t in candidates if all(map(marked, pre[t])))
 
     def successors(self, mid: int):
         """(silent, visible, visible by label) lists of (transition, next

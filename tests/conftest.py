@@ -3,12 +3,18 @@ the enumeration helpers used by the oracle-equivalence tests."""
 
 import heapq
 import itertools
+from collections import Counter
 
 import pytest
 
-from loglift import (Event, EventLog, LogliftError, Replay, SearchLimitError,
-                     Trace, and_, leaf, loop, make_lpm, parse_tree, seq, tau,
-                     xor)
+from loglift import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, Event, EventLog,
+                     LogliftError, QualityReport, Replay, SearchLimitError,
+                     Trace, and_, f_score, leaf, loop, make_lpm, parse_tree,
+                     seq, tau, xor)
+# the set search reference_evaluate runs on every distinct word
+from loglift.conformance import align_words
+from loglift.eventlog import complete_word
+from loglift.petrinet import reduce_silent
 
 N1_TEXT = "seq(xor(A,loop(B,tau)),C)"
 
@@ -41,6 +47,15 @@ def all_words(alphabet, max_len):
     for length in range(1, max_len + 1):
         out.extend(itertools.product(alphabet, repeat=length))
     return out
+
+
+def random_tree(rng, depth):
+    """A random process tree over a-d and tau, nested at most depth deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return tau() if rng.random() < 0.3 else leaf(rng.choice("abcd"))
+    op = rng.choice((seq, xor, and_, loop))
+    arity = 2 if op is loop else rng.choice((2, 3))
+    return op(*(random_tree(rng, depth - 1) for _ in range(arity)))
 
 
 def tree_size(t):
@@ -315,3 +330,85 @@ def reference_align(word, rp: Replay, successors, start: int, accepting, gap_ora
     cost, rest = divmod(dist[goal], cost_unit)
     gaps, model = divmod(rest, model_radix)
     return (cost, gaps, model), path
+
+
+def reference_evaluate(log: EventLog, net: AcceptingPetriNet,
+                       state_limit: int = DEFAULT_STATE_LIMIT) -> QualityReport:
+    """conformance.evaluate as it aligned every distinct word, kept
+    verbatim as the oracle its walk must agree with: fitness, precision,
+    and F-score in one pass (alignments are shared).
+
+    One Replay serves every alignment, the empty word's for the shortest
+    visible run among them, and the precision marking sets. It is built
+    from reduce_silent(net), which keeps the visible language and the
+    labels enabled after each prefix, so scores are the net's. Each
+    alignment is petrinet.align over that Replay's marking sets, stepping
+    them through Replay.set_successors, and a set step interns every
+    marking of its silent closure, so state_limit bounds the markings of
+    the reduced net the shared Replay interns, whole closures included,
+    and also the (marking set, log position) states each alignment
+    settles. A SearchLimitError from building the Replay says so; one from
+    aligning a trace's word names the first case with it; one from the
+    empty word's search says it was searching the shortest visible run.
+    """
+    trace_words = [complete_word(t) for t in log]
+    words = Counter(trace_words)
+    if not words:
+        return QualityReport(fitness=1.0, precision=1.0, f_score=1.0)
+    try:
+        rp = Replay(reduce_silent(net), state_limit=state_limit)
+    except SearchLimitError as err:
+        raise SearchLimitError(f"{err} (building the Replay of the model)") from err
+    try:
+        minlen, _ = align_words((), rp)
+    except SearchLimitError as err:
+        raise SearchLimitError(
+            f"{err} (searching the shortest visible run of the model)") from err
+
+    # prefix automaton of aligned visible model runs: a state per distinct
+    # visible prefix, holding the Replay set of markings that prefix
+    # reaches, the labels taken onward, and how many traces passed through
+    children: dict[tuple[int, str], int] = {}
+    marks: list[int] = [rp.start_set_id]
+    taken: list[set[str]] = [set()]
+    weight: list[int] = [0]
+
+    cost_of: dict[tuple[str, ...], int] = {}
+    fit_sum = 0.0
+    total = 0
+    for word, mult in words.items():
+        try:
+            cost, run = align_words(word, rp)
+        except SearchLimitError as err:
+            case = next(t.case_id for t, w in zip(log, trace_words) if w == word)
+            raise SearchLimitError(f"{err} (case {case})") from err
+        cost_of[word] = cost
+        denom = len(word) + minlen
+        fit_sum += mult * (1.0 - cost / denom if denom else 1.0)
+        total += mult
+
+        state = 0
+        weight[0] += mult
+        for label in run:
+            taken[state].add(label)
+            nxt = children.get((state, label))
+            if nxt is None:
+                nxt = len(marks)
+                children[(state, label)] = nxt
+                marks.append(rp.step(marks[state], label))
+                taken.append(set())
+                weight.append(0)
+            state = nxt
+            weight[state] += mult
+
+    escaping = 0
+    enabled_total = 0
+    for state, sid in enumerate(marks):
+        enabled = rp.enabled_labels(sid)
+        escaping += weight[state] * len(enabled - taken[state])
+        enabled_total += weight[state] * len(enabled)
+
+    fit = fit_sum / total
+    prec = 1.0 - escaping / enabled_total if enabled_total else 1.0
+    return QualityReport(fitness=fit, precision=prec, f_score=f_score(fit, prec),
+                         trace_costs=[cost_of[w] for w in trace_words])

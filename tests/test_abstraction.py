@@ -2,6 +2,7 @@
 
 import pytest
 
+import loglift.abstraction
 from loglift import (INTERLEAVING, PARALLEL, EventLog, PatternError, Replay,
                      SearchLimitError, abstract_log, abstract_trace, compose,
                      derive_lifecycle, language_upto, leaf, make_lpm,
@@ -314,3 +315,23 @@ def test_abstract_trace_is_abstract_log_of_one_trace(composition):
         lifted = abstract_log(log, model, keep_foreign=keep_foreign)
         assert [abstract_trace(t, model, keep_foreign=keep_foreign) for t in log] \
             == lifted.traces, keep_foreign
+
+
+def test_abstract_log_lifts_from_the_path_without_building_moves(monkeypatch):
+    # abstract_log reads each alignment's path; an Alignment builds its
+    # moves only when they are read
+    built = []
+    move = loglift.abstraction.AlignmentMove
+
+    def recording(*args, **kwargs):
+        built.append(move(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(loglift.abstraction, "AlignmentMove", recording)
+    for composition in (INTERLEAVING, PARALLEL):
+        log, nets = planted_alignment_cases(composition)
+        for keep_foreign in (False, True):
+            abstract_log(log, nets["abstraction"], keep_foreign=keep_foreign)
+    assert built == []
+    moves = align_trace(log.traces[0], nets["abstraction"]).moves
+    assert moves and built == moves

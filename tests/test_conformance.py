@@ -1,22 +1,26 @@
 """Fitness, precision, F-score, and high-level model expansion."""
 
 import hashlib
+import inspect
+import random
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 
 import pytest
 
 import loglift.conformance
 from loglift import (INTERLEAVING, AcceptingPetriNet, EventLog, LogliftError,
                      PatternError, PetriNet, PipelineConfig, Replay,
-                     SearchLimitError, compose, evaluate, expand_model,
-                     f_score, generate_log, language_upto, make_lpm,
-                     make_pattern, parse_tree, run_stages, save_pnml,
-                     save_xes, tree_to_net)
+                     SearchLimitError, accepts, compose, evaluate,
+                     expand_model, f_score, generate_log, language_upto,
+                     make_lpm, make_pattern, parse_tree, run_stages,
+                     save_pnml, save_xes, tree_to_net)
+from loglift.eventlog import complete_word
 from loglift.petrinet import reduce_silent
 from loglift.cli import main
 from loglift.abstraction import LOG, MODEL, SYNC, align_words
 from conftest import (PLANTED, align_trace, all_words, mk_log, mk_trace,
-                      planted_alignment_cases)
+                      planted_alignment_cases, random_tree, reference_evaluate)
 
 
 def pattern(text, name):
@@ -353,6 +357,130 @@ def test_evaluate_search_limit_names_the_shortest_visible_run_search():
                            match=r"\(searching the shortest visible run of the model\)$"):
             evaluate(log, apn, state_limit=state_limit)
     assert evaluate(log, apn, state_limit=10).trace_costs == [0]
+
+
+# ------------------------------------------- walked words, searched words
+
+@contextmanager
+def searched_words(evaluate_fn):
+    """A context in which the align_words evaluate_fn calls, the one of its
+    own module's namespace, records the words it is given, in order."""
+    namespace = evaluate_fn.__globals__
+    search = namespace["align_words"]
+    searched = []
+
+    def recording(word, rp):
+        searched.append(word)
+        return search(word, rp)
+
+    namespace["align_words"] = recording
+    try:
+        yield searched
+    finally:
+        namespace["align_words"] = search
+
+
+def rejected_words(log, apn):
+    """The distinct words of log, in order, that apn does not accept once
+    their foreign events are dropped."""
+    alphabet = apn.alphabet()
+    return [w for w in dict.fromkeys(complete_word(t) for t in log)
+            if not accepts(apn, [a for a in w if a in alphabet])]
+
+
+def evaluates_like_reference(evaluate_fn, log, apn):
+    """Whether evaluate_fn gives reference_evaluate's report, which
+    searches every distinct word, while it searches only the empty word
+    (the shortest visible run) and then the words apn rejects."""
+    with searched_words(evaluate_fn) as searched:
+        report = evaluate_fn(log, apn)
+    return (report == reference_evaluate(log, apn)
+            and searched == [()] + rejected_words(log, apn))
+
+
+def walk_cases():
+    """(name, log, net): the precision cases, the and of loops and 30
+    seeded random trees with tau leaves, each on every word of up to 3
+    letters over its alphabet and a foreign letter, and the expanded and
+    baseline nets of the lift-shaped log of seed 1 on that log."""
+    rng = random.Random(25)
+    trees = (random_tree(rng, 3) for _ in iter(int, 1))
+    texts = [t for t, _ in PRECISION_CASES] + [AND_OF_LOOPS] + [
+        str(t) for t, _ in zip((t for t in trees if t.node_count() <= 12), range(30))]
+    for text in texts:
+        apn = tree_to_net(parse_tree(text))
+        yield text, mk_log(all_words(sorted(apn.alphabet()) + ["x"], 3)), apn
+    for text, words in PRECISION_CASES:
+        yield text + " on its log", mk_log(words), tree_to_net(parse_tree(text))
+    log, nets = planted_alignment_cases("parallel", seed=1, traces=25)
+    for name in ("expanded", "baseline"):
+        yield f"lift seed 1, {name}", log, nets[name]
+
+
+def test_evaluate_walks_the_words_the_search_would_not_leave_phase_1_for():
+    cases = list(walk_cases())
+    assert any("tau" in name for name, _, _ in cases)
+    for name, log, apn in cases:
+        assert evaluates_like_reference(evaluate, log, apn), name
+
+
+# a walk stepping foreign events never ends accepting, so its reports are
+# right but every word with a foreign event is searched; a walk ending in
+# a set that does not accept is not an alignment
+WALK_MUTANTS = {
+    "walk keeps foreign events": ("run = [a for a in word if a in alphabet]",
+                                  "run = list(word)"),
+    "walk ignores acceptance": ("len(states) > len(run) and accepting[marks[states[-1]]]",
+                                "len(states) > len(run)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
+def test_evaluate_walk_mutant_is_caught(name):
+    old, new = WALK_MUTANTS[name]
+    source = inspect.getsource(loglift.conformance.evaluate)
+    assert source.count(old) == 1
+    namespace = dict(vars(loglift.conformance))
+    exec(compile(source.replace(old, new), loglift.conformance.__file__, "exec"), namespace)
+    mutant = namespace["evaluate"]
+    assert not all(evaluates_like_reference(mutant, log, apn)
+                   for _, log, apn in walk_cases())
+
+
+def test_evaluate_searches_the_empty_word_and_the_rejected_words():
+    # ab fits, axb fits once x is dropped; ba and the empty word do not
+    apn = tree_to_net(parse_tree("seq(a,b)"))
+    log = mk_log(["ab", "axb", "ba", "", "ab", "ba"])
+    with searched_words(evaluate) as searched:
+        report = evaluate(log, apn)
+    assert searched == [(), ("b", "a"), ()]
+    assert report.trace_costs == [0, 1, 2, 2, 0, 2]
+    assert report == reference_evaluate(log, apn)
+
+
+def test_evaluate_search_limit_in_a_walk_names_the_case():
+    # at these limits the empty word's search fits, but stepping the sets
+    # of bcde interns more markings than allowed; bcde is walked, not searched
+    apn = tree_to_net(parse_tree("xor(a,and(b,c,d,e))"))
+    log = EventLog(traces=[mk_trace("a", case_id="short"),
+                           mk_trace("bcde", case_id="walked")])
+    for state_limit in (13, 14, 15):
+        with searched_words(evaluate) as searched:
+            with pytest.raises(SearchLimitError,
+                               match=r"exploring markings \(case walked\)$"):
+                evaluate(log, apn, state_limit=state_limit)
+        assert searched == [()]
+    assert evaluate(log, apn, state_limit=16).trace_costs == [0, 0]
+
+
+def test_evaluate_walks_an_accepted_word_longer_than_the_limit():
+    # a search settles a state per event of a fitting word, and the limit
+    # bounds the states it settles; a walk settles none
+    apn = tree_to_net(parse_tree("loop(a,tau)"))
+    log = mk_log(["a" * 30, "ab" * 15])
+    with pytest.raises(SearchLimitError, match="during alignment"):
+        reference_evaluate(log, apn, state_limit=20)
+    assert evaluate(log, apn, state_limit=20).trace_costs == [0, 15]
 
 
 def test_unreachable_final_marking_is_a_no_not_a_search_limit(tmp_path, capsys):

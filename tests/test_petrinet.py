@@ -11,16 +11,15 @@ import loglift.abstraction
 import loglift.conformance
 from loglift import (INTERLEAVING, PARALLEL, AbstractionModel, AcceptingPetriNet,
                      LogliftError, PetriNet, Replay, SearchLimitError,
-                     abstract_log, accepts, align_words, and_, compose,
-                     evaluate, language_upto, leaf, loop, make_lpm, parse_pnml,
-                     parse_tree, patterns_from_models, save_pnml, seq, tau,
-                     tree_to_net, write_pnml, xor)
+                     abstract_log, accepts, align_words, compose, evaluate,
+                     language_upto, make_lpm, parse_pnml, parse_tree,
+                     patterns_from_models, save_pnml, tree_to_net, write_pnml)
 from loglift import petrinet
 from loglift.abstraction import _GapOracle
 from loglift.eventlog import complete_word
 from loglift.petrinet import DEFAULT_STATE_LIMIT, align, reduce_silent
 from conftest import (N1_TEXT, all_words, mk_log, planted_alignment_cases,
-                      reference_align)
+                      random_tree, reference_align)
 
 
 def hand_net():
@@ -317,15 +316,6 @@ CRITERION_5_TREES = [
 
 # the shape of the keep_foreign=true models, whose places rule C merges
 AND_OF_OPTIONAL_LOOPS = "and(xor(loop(a,tau),tau),xor(loop(b,tau),tau))"
-
-
-def random_tree(rng, depth):
-    """A random process tree over a-d and tau, nested at most depth deep."""
-    if depth == 0 or rng.random() < 0.3:
-        return tau() if rng.random() < 0.3 else leaf(rng.choice("abcd"))
-    op = rng.choice((seq, xor, and_, loop))
-    arity = 2 if op is loop else rng.choice((2, 3))
-    return op(*(random_tree(rng, depth - 1) for _ in range(arity)))
 
 
 def accepting(places, arcs, labels, initial, final):
