@@ -274,11 +274,11 @@ def _lift_trace(path, originals: list[Event], labels: list[str | None],
     (petrinet.align's (log position, transition index, advanced) steps);
     labels and roles are indexed by transition: its label, and its
     (pattern name, role) in the abstraction model or None."""
-    # (log index, emission order, event): events at one index keep their order
-    emitted: list[tuple[int, int, Event]] = []
+    # the events emitted at each log index, in emission order
+    emitted: list[list[Event]] = [[] for _ in originals]
 
     def emit(index: int, event: Event):
-        emitted.append((index, len(emitted), event))
+        emitted[index].append(event)
 
     open_instances: dict[str, _Instance] = {}
 
@@ -326,8 +326,7 @@ def _lift_trace(path, originals: list[Event], labels: list[str | None],
     for inst in open_instances.values():
         finalize(inst)
 
-    emitted.sort(key=lambda item: (item[0], item[1]))
-    return [e for _, _, e in emitted]
+    return [e for events in emitted for e in events]
 
 
 def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = False,

@@ -18,7 +18,8 @@ from .conformance import evaluate, expand_model
 from .discovery import discover_model
 from .errors import ConfigError, LogliftError, StageError
 from .eventlog import save_xes
-from .lpm import ORDERS, load_ranking, parse_tree, save_ranking, tree_to_net
+from .lpm import (ORDERS, discover_lpms, load_ranking, parse_tree, save_ranking,
+                  tree_to_net)
 from .pipeline import (PipelineConfig, generate_log, load_input, run_pipeline,
                        run_sweep, sweep_csv, _select, _stage)
 from .pnml import parse_pnml, save_pnml
@@ -80,24 +81,7 @@ def _read_config(path: str) -> dict:
     return values
 
 
-class _Options:
-    """Layered view: CLI flags over config file over defaults."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self._flags = {k: v for k, v in vars(ns).items() if k not in ("func", "config")}
-        self._file = _read_config(ns.config) if getattr(ns, "config", None) else {}
-
-    def __getattr__(self, key):
-        if key in self._flags:
-            return self._flags[key]
-        if key in self._file:
-            return self._file[key]
-        if key in _OPTIONS:
-            return _OPTIONS[key][0]
-        raise AttributeError(key)
-
-
-def _pipeline_config(opts: _Options) -> PipelineConfig:
+def _pipeline_config(opts: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig(**{f.name: getattr(opts, f.name)
                                for f in fields(PipelineConfig)})
     config.validate()
@@ -106,11 +90,10 @@ def _pipeline_config(opts: _Options) -> PipelineConfig:
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_discover_lpms(opts: _Options) -> int:
+def cmd_discover_lpms(opts: argparse.Namespace) -> int:
     config = _pipeline_config(opts)
     log = load_input(config)
     with _stage("discover-lpms"):
-        from .lpm import discover_lpms
         ranking = discover_lpms(log, **config.lpm_search())
         save_ranking(ranking, opts.out_dir)
     for model in ranking:
@@ -118,7 +101,7 @@ def cmd_discover_lpms(opts: _Options) -> int:
     return 0
 
 
-def cmd_abstract(opts: _Options) -> int:
+def cmd_abstract(opts: argparse.Namespace) -> int:
     config = _pipeline_config(opts)
     log = load_input(config)
     with _stage("filter"):
@@ -135,7 +118,7 @@ def cmd_abstract(opts: _Options) -> int:
     return 0
 
 
-def cmd_discover(opts: _Options) -> int:
+def cmd_discover(opts: argparse.Namespace) -> int:
     config = _pipeline_config(opts)
     log = load_input(config)
     with _stage("discover"):
@@ -147,7 +130,7 @@ def cmd_discover(opts: _Options) -> int:
     return 0
 
 
-def cmd_evaluate(opts: _Options) -> int:
+def cmd_evaluate(opts: argparse.Namespace) -> int:
     config = _pipeline_config(opts)
     log = load_input(config)
     with _stage("evaluate"):
@@ -162,7 +145,7 @@ def cmd_evaluate(opts: _Options) -> int:
     return 0
 
 
-def cmd_pipeline(opts: _Options) -> int:
+def cmd_pipeline(opts: argparse.Namespace) -> int:
     config = _pipeline_config(opts)
     result = run_pipeline(config)
     print(f"selected={';'.join(str(m.tree) for m in result.selected)}")
@@ -180,7 +163,7 @@ def _parse_list(text: str | None, coerce, fallback):
     return [coerce(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def cmd_sweep(opts: _Options) -> int:
+def cmd_sweep(opts: argparse.Namespace) -> int:
     config = _pipeline_config(opts)
     log = load_input(config)
     try:
@@ -201,7 +184,7 @@ def cmd_sweep(opts: _Options) -> int:
     return 0
 
 
-def cmd_generate(opts: _Options) -> int:
+def cmd_generate(opts: argparse.Namespace) -> int:
     if not opts.patterns:
         raise ConfigError("generate needs --patterns")
     try:
@@ -323,7 +306,12 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     try:
-        opts = _Options(ns)
+        # flags over the config file over the defaults; an absent flag is
+        # not in ns (default=SUPPRESS), so it overrides nothing
+        opts = argparse.Namespace(**{key: default for key, (default, _) in _OPTIONS.items()})
+        if ns.config:
+            vars(opts).update(_read_config(ns.config))
+        vars(opts).update(vars(ns))
         return ns.func(opts)
     except ConfigError as exc:
         print(f"loglift: {exc}", file=sys.stderr)

@@ -230,15 +230,18 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str | None = N
     trace are sorted by timestamp, ties keeping row order; without one, row
     order is kept as-is. An empty activity cell, or a case whose timestamps
     mix values with and without a UTC offset, raises LogFormatError naming
-    the line.
+    the line. One leading UTF-8 byte-order mark, as spreadsheet exports
+    write, is dropped.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     else:
         text = source if isinstance(source, bytes) else source.read()
         if isinstance(text, bytes):
-            text = text.decode("utf-8")
+            text = text.decode("utf-8-sig")
+        else:
+            text = text.removeprefix("\ufeff")
 
     # universal newlines, as a file opened by path reads: "\r", "\r\n" and
     # "\n" each end one line

@@ -1,50 +1,19 @@
 """Local process models: small behavioral patterns discovered from a log.
 
 A local process model (LPM) is a process tree over at most a handful of
-activities, together with its Petri net form and a support value: the
-number of events covered when each trace is projected onto the model's
-activities and split into accepted runs (gamma segments) and leftover
-noise (lambda segments), maximizing the covered events.
+activities, together with a support value: the number of events covered
+when each trace is projected onto the model's activities and split into
+accepted runs (gamma segments) and leftover noise (lambda segments),
+maximizing the covered events. Its Petri net is compiled from the tree
+when first read.
 
 Support is computed by one forward pass per distinct projection over the
-pattern's subset automaton (memoised per pattern). Discovery grows and
-scores a candidate as its rank shape: the tree with each activity renamed
-to its rank in the sorted activity set, as nested int tuples, against the
-trace projections renamed the same way. It builds a candidate's
-ProcessTree only once the candidate has scored. Shapes equal up to
-renaming share one automaton, built once for the tree with its activities
-named in the order they first appear, which each shape walks through its
-own renaming; candidates over one activity set share one projection
-Counter, one str.translate per trace coded as a string of one character
-per event (support() projects the same way). A beam round gives every
-distinct renamed word an int id in one word table, and each shape's
-forward pass memoises word id -> coverage, so a shape walks a word at
-most once per round however many activity sets project onto it. The memo
-is the shape's own, not its shared automaton's: one word id means
-different words to different renamings. A memo hit is a word the shape
-has already walked in full, so it skips only a walk that would add no
-transition and step no Replay: state_limit is hit exactly as without the
-memo. A candidate covers at most the events its activity set has in the
-log, so a beam round scores activity sets by that bound, highest first,
-and stops at the first set whose bound is below the support of every
-candidate it would keep so far.
-Once the round keeps a full top, its lowest support is a floor for each
-candidate too: scoring stops, and the candidate is dropped, as soon as the
-events its projections have left uncovered show that it cannot reach the
-floor. A flat xor over a set accepts each of its events as a run of its
-own, so its support is the bound: a round first ranks every flat xor it
-grows at its bound, with no projection, walk or Replay, and so starts
-from the floor they give. and(x,y) is scored before seq(x,y) and
-seq(y,x), which accept a subset of its language: support is monotone in
-the language, so both are skipped when the and is below the floor. A
-dropped candidate stops stepping its shape's Replay, so state_limit,
-which bounds the markings of the Replay all renamings of a shape share,
-bounds only the Replays that are built (a flat xor builds none) and can
-be hit only by work that could still rank. segment()
-gets the split from the same forward pass, run backwards: over the
-reversed projection on the reversed net, its running totals are the best
-coverage of every suffix, and a forward walk from each position picks the
-run that keeps that optimum.
+pattern's subset automaton; segment() runs the same pass backwards.
+discover_lpms is a beam search that scores candidates as rank shapes
+sharing automata, memoises coverage per word, and cuts the search with a
+per-set bound, a floor, a flat-xor seed pass and skipping the seqs whose
+and is below the floor, none of which changes the ranking; its docstring
+gives the full account.
 
 Trees use operators seq, xor, and, loop(body, redo); loop means body once,
 then zero or more redo-body rounds. xor/and children are kept sorted and
@@ -56,6 +25,7 @@ import bisect
 import copy
 import heapq
 import operator
+import os
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
@@ -65,6 +35,7 @@ from .errors import LogFormatError, LogliftError
 from .eventlog import EventLog, complete_word
 from .petrinet import (DEFAULT_STATE_LIMIT, AcceptingPetriNet, PetriNet,
                        Replay)
+from .pnml import save_pnml
 
 SEQ, XOR, AND, LOOP = "seq", "xor", "and", "loop"
 _OPS = (SEQ, XOR, AND, LOOP)
@@ -335,31 +306,33 @@ def tree_to_net(tree: ProcessTree) -> AcceptingPetriNet:
 
 @dataclass
 class LocalProcessModel:
-    net: AcceptingPetriNet
-    tree: ProcessTree | None = None
+    """A ranked pattern: its process tree, support and rank. The net and the
+    activities are the tree's, built when first read."""
+    tree: ProcessTree
     support: int = 0
     rank: int | None = None
 
     @cached_property
+    def net(self) -> AcceptingPetriNet:
+        return tree_to_net(self.tree)
+
+    @cached_property
     def activities(self) -> frozenset[str]:
-        return frozenset(self.net.alphabet())
+        return self.tree.activities()
 
     @property
     def key(self) -> str:
         """Stable identity used for ordering ties and caching."""
-        if self.tree is not None:
-            return self.tree.sort_key()
-        return "|".join(sorted(self.net.net.labels.values()))
+        return self.tree.sort_key()
 
     def __str__(self) -> str:
-        body = self.tree.to_text() if self.tree is not None else self.key
-        return f"LPM(rank={self.rank}, support={self.support}, {body})"
+        return f"LPM(rank={self.rank}, support={self.support}, {self.tree.to_text()})"
 
 
 def make_lpm(tree: ProcessTree, support: int = 0, rank: int | None = None,
              max_activities: int = 5) -> LocalProcessModel:
     check_lpm_tree(tree, max_activities=max_activities)
-    return LocalProcessModel(net=tree_to_net(tree), tree=tree, support=support, rank=rank)
+    return LocalProcessModel(tree=tree, support=support, rank=rank)
 
 
 @dataclass
@@ -704,7 +677,8 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
     built and can be hit only by work that could still rank. Within one
     activity set the renaming is a bijection, so candidates are
     deduplicated on their rank shape, and a ProcessTree is built only for
-    a candidate that keeps its support, a net only for a new automaton.
+    a candidate that keeps its support, a net only for a new automaton:
+    a ranked model builds its net only when something reads it.
     The projections of a set are one str.translate per trace, each trace
     coded once as a string of one character per event: the translation
     deletes the other activities and renames the set's own to chr(rank).
@@ -848,7 +822,7 @@ def discover_lpms(log: EventLog, max_activities: int = 4, beam_width: int = 50,
             break
         ranked = sorted(ranked + current[:max_results], key=order_key)[:max_results]
 
-    models = [LocalProcessModel(net=tree_to_net(t), tree=t, support=-key[0], rank=i + 1)
+    models = [LocalProcessModel(tree=t, support=-key[0], rank=i + 1)
               for i, (key, t) in enumerate(ranked)]
     return LpmRanking(models=models)
 
@@ -987,29 +961,24 @@ _INDEX_HEADER = "rank\tsupport\tdiversity\tactivities\ttree\tfile"
 
 def save_ranking(ranking: LpmRanking, dirpath: str) -> None:
     """Write one PNML per model plus an index.tsv with the ranking metadata."""
-    import os
-
-    from .pnml import save_pnml
     os.makedirs(dirpath, exist_ok=True)
     lines = [_INDEX_HEADER]
     for i, model in enumerate(ranking, start=1):
         fname = f"lpm_{i}.pnml"
         save_pnml(model.net, os.path.join(dirpath, fname))
         div = diversity(ranking, i)
-        tree_text = model.tree.to_text() if model.tree is not None else "-"
         acts = ",".join(sorted(model.activities))
+        tree_text = model.tree.to_text()
         lines.append(f"{i}\t{model.support}\t{div:.6f}\t{acts}\t{tree_text}\t{fname}")
     with open(os.path.join(dirpath, INDEX_FILE), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_ranking(dirpath: str) -> LpmRanking:
-    """Read a ranking written by save_ranking; a missing index header, a
-    malformed index line or model file raises LogFormatError naming the
-    file."""
-    import os
-
-    from .pnml import parse_pnml
+    """Read the index.tsv a save_ranking wrote: each row's rank, support and
+    tree. The PNML files it names are not read back. A missing index raises
+    LogliftError; a missing header or a malformed row raises LogFormatError
+    naming the index."""
     index_path = os.path.join(dirpath, INDEX_FILE)
     if not os.path.exists(index_path):
         raise LogliftError(f"no {INDEX_FILE} in {dirpath}")
@@ -1025,15 +994,10 @@ def load_ranking(dirpath: str) -> LpmRanking:
         parts = row.split("\t")
         if len(parts) != 6:
             raise LogFormatError(f"bad index line in {index_path}: {row!r}")
-        rank_s, support_s, _div, _acts, tree_text, fname = parts
+        rank_s, support_s, _div, _acts, tree_text, _file = parts
         try:
-            rank, support = int(rank_s), int(support_s)
-            tree = parse_tree(tree_text) if tree_text != "-" else None
+            models.append(LocalProcessModel(tree=parse_tree(tree_text),
+                                            support=int(support_s), rank=int(rank_s)))
         except ValueError as exc:
             raise LogFormatError(f"bad index line in {index_path}: {row!r}: {exc}") from exc
-        if tree is not None:
-            net = tree_to_net(tree)
-        else:
-            net = parse_pnml(os.path.join(dirpath, fname))
-        models.append(LocalProcessModel(net=net, tree=tree, support=support, rank=rank))
     return LpmRanking(models=models)

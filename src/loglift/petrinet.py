@@ -387,10 +387,11 @@ def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
 
     Lexicographically minimizes (total cost, gap moves, visible model
     moves), where gap_oracle maps a node to the activities whose log move
-    counts as a gap move there (none without an oracle). It is the A* of
-    Adriansyah, van Dongen & van der Aalst (EDOC 2011), whose admissible
-    heuristic is the events left that the net can never mirror (foreign
-    events: their only move is a log move). States are settled in the
+    counts as a gap move there (none without an oracle), all of them
+    labels of rp's net. It is the A* of Adriansyah, van Dongen & van der
+    Aalst (EDOC 2011), whose admissible heuristic is the events left that
+    the net can never mirror (foreign events: their only move is a log
+    move). States are settled in the
     order (total cost + heuristic, gap moves, visible model moves, deepest
     log position first, first reached first). Going deeper first on ties
     keeps a zero-cost run through a concurrent net from expanding every
@@ -399,9 +400,10 @@ def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
 
     - Phase 1 settles the states at the heuristic's bound, which cost
       exactly the foreign events passed and took no gap or model move.
-      Only synchronous moves, silent moves and non-gap log moves of
-      foreign events reach them, and they share the order's first three
-      digits, so they come first; a word that fits once its foreign
+      Only synchronous moves, silent moves and log moves of foreign
+      events reach them (a foreign event is no label of rp's net, so its
+      log move is never a gap move), and they share the order's first
+      three digits, so they come first; a word that fits once its foreign
       events are dropped ends among them. They are settled from one
       first-in first-out list per log position, the deepest non-empty
       list first, and each pushes only those zero-cost successors, in the
@@ -480,8 +482,7 @@ def align(word, rp: Replay, successors, start: int, accepting, gap_oracle=None):
             if nxt not in parent:
                 parent[nxt] = (state, edge)
                 queue.append(nxt)
-        if pos < n and foreign_suffix[pos] > foreign_suffix[nxt_pos] and (
-                gap_oracle is None or word[pos] not in gap_oracle(node)):
+        if pos < n and foreign_suffix[pos] > foreign_suffix[nxt_pos]:
             nxt = state + 1
             if nxt not in parent:
                 parent[nxt] = (state, None)

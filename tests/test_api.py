@@ -138,3 +138,15 @@ def test_every_private_helper_is_referenced():
                    for tree in trees.values() for node in ast.walk(tree)):
             unreferenced.append((name, helper.lineno, helper.name))
     assert unreferenced == []
+
+
+def test_package_imports_only_at_module_level():
+    # an import inside a function or class body hides a module's
+    # dependencies from its header and from the checks above
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [(path.name, node.lineno) for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []

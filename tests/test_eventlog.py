@@ -11,6 +11,7 @@ from loglift import (AcceptingPetriNet, ConfigError, Event, EventLog, LogFormatE
                      PetriNet, Trace, compose, generate_log, load_log, make_lpm,
                      parse_csv, parse_tree, parse_xes, patterns_from_models, save_xes,
                      tree_to_net, write_pnml, write_xes)
+from loglift.cli import main
 from loglift.eventlog import complete_word
 from conftest import mk_log, mk_trace
 
@@ -223,6 +224,26 @@ def test_csv_bytes_with_cr_and_crlf_line_ends_parse_like_the_file(tmp_path):
             parse_csv(bad, "case", "activity")
     log = parse_csv(b"case,activity\r1,a\r1,b\r", "case", "activity")
     assert log.traces[0].activities() == ["a", "b"]
+
+
+def test_csv_with_a_byte_order_mark_parses_like_one_without(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF; it must not become
+    # part of the first header name
+    text = "case,activity,ts\n1,a,2020-01-01\n1,\u00e9,2020-01-02\n2,c,2020-01-03\n"
+    plain = parse_csv(text.encode(), "case", "activity", time_col="ts")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    with open(path, "rb") as binary, open(path, encoding="utf-8") as stream:
+        logs = [load_log(str(path), time_col="ts"),
+                parse_csv(path.read_bytes(), "case", "activity", time_col="ts"),
+                parse_csv(binary, "case", "activity", time_col="ts"),
+                parse_csv(stream, "case", "activity", time_col="ts"),
+                parse_csv(io.StringIO("\ufeff" + text), "case", "activity", time_col="ts")]
+    assert [[t.activities() for t in log] for log in logs] == [[["a", "\u00e9"], ["c"]]] * 5
+    assert all(log == plain for log in logs)
+    out_dir = tmp_path / "lpms"
+    assert main(["discover-lpms", "--input", str(path), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "index.tsv").exists()
 
 
 def test_csv_missing_column_is_an_error(tmp_path):

@@ -19,7 +19,8 @@ from loglift.eventlog import complete_word
 from loglift.lpm import ProcessTree, check_lpm_tree
 from loglift.petrinet import Replay
 from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, all_words,
-                      enumerate_pattern_trees, mk_log, mk_trace, split_oracle)
+                      enumerate_pattern_trees, mk_log, mk_trace, random_tree,
+                      split_oracle)
 
 
 # ----------------------------------------------------------------- trees
@@ -719,6 +720,38 @@ def test_ranking_save_load_round_trip(tmp_path):
     assert language_upto(back[0].net, 3) == {("a", "b", "c")}
     index = (tmp_path / "lpms" / "index.tsv").read_text()
     assert index.splitlines()[0] == "rank\tsupport\tdiversity\tactivities\ttree\tfile"
+
+
+def test_ranking_round_trip_keeps_every_tree(tmp_path):
+    # the index holds every tree as parse_tree text, so a leaf named "-",
+    # quoted labels and tau leaves come back as they were saved
+    trees = [leaf("-"), seq(leaf("-"), leaf("a")), seq(leaf("odd name"), leaf("it's")),
+             xor(leaf("b"), tau()), loop(and_(leaf("c"), leaf("d")), tau())]
+    models = [make_lpm(t, support=10 - i, rank=i + 1) for i, t in enumerate(trees)]
+    save_ranking(LpmRanking(models=models), str(tmp_path / "lpms"))
+    back = load_ranking(str(tmp_path / "lpms"))
+    assert [(m.tree, m.support, m.rank, m.key) for m in back] == \
+        [(m.tree, m.support, m.rank, m.key) for m in models]
+    rows = (tmp_path / "lpms" / "index.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[5] for row in rows] == [f"lpm_{i}.pnml" for i in range(1, 6)]
+    assert all((tmp_path / "lpms" / f"lpm_{i}.pnml").exists() for i in range(1, 6))
+
+
+def test_model_derives_its_net_activities_and_key_from_its_tree():
+    rng = random.Random(26)
+    trees = [random_tree(rng, 3) for _ in range(80)]
+    assert any("tau" in str(t) for t in trees)
+    for tree in trees:
+        model = LocalProcessModel(tree=tree)
+        assert model.activities == frozenset(model.net.alphabet()), tree
+        assert model.key == tree.sort_key()
+
+
+def test_discovery_and_filter_build_no_net():
+    ranking = discover_lpms(_planted_log(traces=10, instances=2, seed=11))
+    filter_diverse(ranking, 0.5, k=3)
+    assert len(ranking) > 0
+    assert [m.rank for m in ranking if "net" in vars(m)] == []
 
 
 def test_load_ranking_missing_dir(tmp_path):
