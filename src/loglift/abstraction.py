@@ -269,11 +269,13 @@ class _Instance:
 
 def _lift_trace(path, originals: list[Event], labels: list[str | None],
                 roles: list[tuple[str, str | None] | None], alphabet: frozenset[str],
-                keep_foreign: bool) -> list[Event]:
+                keep_foreign: bool, lifted: dict[str, tuple[Event, Event]]) -> list[Event]:
     """One trace's events lifted along the alignment path of its originals
     (petrinet.align's (log position, transition index, advanced) steps);
     labels and roles are indexed by transition: its label, and its
-    (pattern name, role) in the abstraction model or None."""
+    (pattern name, role) in the abstraction model or None. lifted maps
+    each pattern name to the start and complete event every occurrence
+    emits."""
     # the events emitted at each log index, in emission order
     emitted: list[list[Event]] = [[] for _ in originals]
 
@@ -289,9 +291,10 @@ def _lift_trace(path, originals: list[Event], labels: list[str | None],
             for i in inst.sync_indices:
                 emit(i, originals[i])
             return
+        start, complete = lifted[inst.pattern]
         if inst.start_sync is not None:
-            emit(inst.start_sync, Event(activity=inst.pattern, lifecycle=START))
-        emit(max(inst.sync_indices), Event(activity=inst.pattern, lifecycle=COMPLETE))
+            emit(inst.start_sync, start)
+        emit(max(inst.sync_indices), complete)
 
     for pos, t, advanced in path:
         if t is None:
@@ -338,7 +341,8 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
     straight from its alignment's path, with the model's roles listed by
     the Replay's transition index once. Emits one complete event
     per reported occurrence (and a start event when the occurrence's
-    starting transition fired synchronously). Log moves over pattern
+    starting transition fired synchronously); a call makes one start and
+    one complete Event per pattern and shares them. Log moves over pattern
     activities stay as low-level events; events of demoted occurrences
     stay too. Foreign events (outside every pattern alphabet) are dropped
     unless keep_foreign is set. A SearchLimitError says it was building
@@ -352,6 +356,8 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
     gap_oracle = _GapOracle(model, rp)
     roles = [model.roles.get(t) for t in rp.transitions]
     alphabet = model.pattern_alphabet
+    # events are immutable, so every occurrence of a pattern shares its two
+    lifted = {p.name: (Event(p.name, START), Event(p.name, COMPLETE)) for p in model.patterns}
     traces = []
     for trace in log:
         originals = [e for e in trace.events if e.is_complete()]
@@ -361,7 +367,7 @@ def abstract_log(log: EventLog, model: AbstractionModel, keep_foreign: bool = Fa
             raise SearchLimitError(f"{err} (case {trace.case_id})") from err
         traces.append(Trace(case_id=trace.case_id,
                             events=_lift_trace(alignment._path, originals, rp.labels, roles,
-                                               alphabet, keep_foreign)))
+                                               alphabet, keep_foreign, lifted)))
     return EventLog(traces=traces)
 
 

@@ -352,6 +352,8 @@ def generate_log(patterns: list[ProcessTree], instances: int, traces: int,
     for tree in patterns:
         used |= set(tree.activities())
     noise_pool = noise_alphabet(used)
+    # events are immutable, so every occurrence of an activity is one object
+    event_of = {a: Event(activity=a, lifecycle=COMPLETE) for a in used | set(noise_pool)}
 
     rng = random.Random(seed)
     out = []
@@ -373,7 +375,5 @@ def generate_log(patterns: list[ProcessTree], instances: int, traces: int,
             extra = int(want) + (1 if rng.random() < want - int(want) else 0)
             for _ in range(extra):
                 base.insert(rng.randrange(len(base) + 1), rng.choice(noise_pool))
-        out.append(Trace(case_id=f"case_{i}",
-                         events=[Event(activity=a, lifecycle=COMPLETE)
-                                 for a in base]))
+        out.append(Trace(case_id=f"case_{i}", events=[event_of[a] for a in base]))
     return EventLog(traces=out)

@@ -36,6 +36,15 @@ def mk_log(words):
                             for i, w in enumerate(words, start=1)])
 
 
+def activities_of(trace) -> list[str]:
+    """The activities of a trace's events in order, whatever their lifecycle."""
+    return [e.activity for e in trace]
+
+
+def alphabet_of(log) -> set[str]:
+    return {e.activity for trace in log for e in trace}
+
+
 @pytest.fixture(scope="session")
 def n1_lpm():
     return make_lpm(parse_tree(N1_TEXT))

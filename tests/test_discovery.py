@@ -6,7 +6,7 @@ import pytest
 
 from loglift import accepts, discover_model, parse_tree, tree_to_net
 from loglift.pipeline import sample_word
-from conftest import mk_log
+from conftest import activities_of, mk_log
 
 
 def test_discover_skippable_middle_activity():
@@ -65,7 +65,7 @@ def test_discover_flower_fallback():
     tree = discover_model(log)
     apn = tree_to_net(tree)
     for trace in log:
-        assert accepts(apn, trace.activities())
+        assert accepts(apn, activities_of(trace))
 
 
 def test_discover_noise_drops_rare_variant():

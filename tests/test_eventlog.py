@@ -2,18 +2,22 @@
 
 import copy
 import datetime
+import gc
 import io
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 from xml.etree import ElementTree as ET
 
 import pytest
 
 from loglift import (AcceptingPetriNet, ConfigError, Event, EventLog, LogFormatError,
-                     PetriNet, Trace, compose, generate_log, load_log, make_lpm,
-                     parse_csv, parse_tree, parse_xes, patterns_from_models, save_xes,
-                     tree_to_net, write_pnml, write_xes)
+                     PetriNet, Trace, abstract_log, compose, generate_log, load_log,
+                     make_lpm, parse_csv, parse_tree, parse_xes, patterns_from_models,
+                     save_xes, tree_to_net, write_pnml, write_xes)
 from loglift.cli import main
 from loglift.eventlog import complete_word
-from conftest import mk_log, mk_trace
+from conftest import activities_of, mk_log, mk_trace
 
 
 def test_event_lifecycle_default_is_complete():
@@ -24,14 +28,13 @@ def test_event_lifecycle_default_is_complete():
 
 def test_trace_helpers():
     t = mk_trace("abc")
-    assert t.activities() == ["a", "b", "c"]
     assert len(t) == 3
     assert [e.activity for e in t] == ["a", "b", "c"]
 
 
 def test_log_alphabet_and_len():
     log = mk_log(["ab", "bc"])
-    assert log.alphabet() == {"a", "b", "c"}
+    assert {e.activity for t in log for e in t} == {"a", "b", "c"}
     assert len(log) == 2
 
 
@@ -58,10 +61,10 @@ def test_xes_round_trip(tmp_path):
     save_xes(log, str(path))
     back = parse_xes(str(path))
     assert [t.case_id for t in back] == ["c1", "c2"]
-    assert back.traces[0].activities() == ["a", "a", "b"]
+    assert activities_of(back.traces[0]) == ["a", "a", "b"]
     assert back.traces[0].events[0].lifecycle == "start"
     assert back.traces[0].events[1].timestamp is not None
-    assert back.traces[1].activities() == ["odd name <&>"]
+    assert activities_of(back.traces[1]) == ["odd name <&>"]
 
 
 def test_xes_lifecycles_other_than_complete_are_not_completions():
@@ -122,7 +125,7 @@ def test_parse_xes_accepts_bytes_path_and_binary_file(tmp_path):
     with open(path, "rb") as fh:
         logs = [parse_xes(data), parse_xes(str(path)), parse_xes(fh)]
     for log in logs:
-        assert [t.activities() for t in log] == [["a", "b", "c"], ["d", "e"]]
+        assert [activities_of(t) for t in log] == [["a", "b", "c"], ["d", "e"]]
 
 
 def test_xes_rejects_garbage(tmp_path):
@@ -150,8 +153,8 @@ def test_csv_basic_grouping(tmp_path):
     path.write_text("case,activity\n1,a\n2,x\n1,b\n2,y\n1,c\n")
     log = parse_csv(str(path), "case", "activity")
     assert [t.case_id for t in log] == ["1", "2"]
-    assert log.traces[0].activities() == ["a", "b", "c"]
-    assert log.traces[1].activities() == ["x", "y"]
+    assert activities_of(log.traces[0]) == ["a", "b", "c"]
+    assert activities_of(log.traces[1]) == ["x", "y"]
 
 
 def test_csv_sorts_by_time_column_stably(tmp_path):
@@ -162,7 +165,7 @@ def test_csv_sorts_by_time_column_stably(tmp_path):
         "1,tie1,2024-01-01T00:00:00\n"
         "1,tie2,2024-01-01T00:00:00\n")
     log = parse_csv(str(path), "case", "activity", time_col="ts")
-    assert log.traces[0].activities() == ["tie1", "tie2", "late"]
+    assert activities_of(log.traces[0]) == ["tie1", "tie2", "late"]
 
 
 def test_csv_rejects_empty_activity_cell():
@@ -185,7 +188,7 @@ def test_csv_rejects_a_case_mixing_aware_and_naive_timestamps():
                     b"2,y,2020-01-02T00:00:00\n"
                     b"1,a,2020-01-01T00:00:00Z\n"
                     b"2,x,2020-01-01T00:00:00\n", "case", "activity", time_col="ts")
-    assert [t.activities() for t in log] == [["a", "b"], ["x", "y"]]
+    assert [activities_of(t) for t in log] == [["a", "b"], ["x", "y"]]
 
 
 def test_csv_errors_name_file_lines_after_a_multi_line_field():
@@ -218,12 +221,12 @@ def test_csv_bytes_with_cr_and_crlf_line_ends_parse_like_the_file(tmp_path):
             logs = [parse_csv(data, "case", "activity"), parse_csv(fh, "case", "activity"),
                     parse_csv(str(path), "case", "activity")]
         for log in logs:
-            assert [t.activities() for t in log] == [["a", "b\nx"], ["c"]], end
+            assert [activities_of(t) for t in log] == [["a", "b\nx"], ["c"]], end
         bad = b"case,activity,note" + end + b'1,a,"x' + end + b'y"' + end + b"1,,z" + end
         with pytest.raises(LogFormatError, match="line 4: empty 'activity' cell"):
             parse_csv(bad, "case", "activity")
     log = parse_csv(b"case,activity\r1,a\r1,b\r", "case", "activity")
-    assert log.traces[0].activities() == ["a", "b"]
+    assert activities_of(log.traces[0]) == ["a", "b"]
 
 
 def test_csv_with_a_byte_order_mark_parses_like_one_without(tmp_path):
@@ -239,7 +242,7 @@ def test_csv_with_a_byte_order_mark_parses_like_one_without(tmp_path):
                 parse_csv(binary, "case", "activity", time_col="ts"),
                 parse_csv(stream, "case", "activity", time_col="ts"),
                 parse_csv(io.StringIO("\ufeff" + text), "case", "activity", time_col="ts")]
-    assert [[t.activities() for t in log] for log in logs] == [[["a", "\u00e9"], ["c"]]] * 5
+    assert [[activities_of(t) for t in log] for log in logs] == [[["a", "\u00e9"], ["c"]]] * 5
     assert all(log == plain for log in logs)
     out_dir = tmp_path / "lpms"
     assert main(["discover-lpms", "--input", str(path), "--out-dir", str(out_dir)]) == 0
@@ -258,14 +261,14 @@ def test_load_log_dispatches_on_extension(tmp_path):
     csv_path.write_text("case,activity\n1,a\n")
     xes_path = tmp_path / "log.xes"
     save_xes(mk_log(["ab"]), str(xes_path))
-    assert load_log(str(csv_path)).traces[0].activities() == ["a"]
-    assert load_log(str(xes_path)).traces[0].activities() == ["a", "b"]
+    assert activities_of(load_log(str(csv_path)).traces[0]) == ["a"]
+    assert activities_of(load_log(str(xes_path)).traces[0]) == ["a", "b"]
 
 
 def test_load_log_reads_an_upper_case_csv_extension(tmp_path):
     path = tmp_path / "log.CSV"
     path.write_text("case,activity\n1,a\n1,b\n")
-    assert load_log(str(path)).traces[0].activities() == ["a", "b"]
+    assert activities_of(load_log(str(path)).traces[0]) == ["a", "b"]
 
 
 def test_write_xes_returns_bytes():
@@ -383,3 +386,134 @@ def test_write_xes_matches_element_tree_oracle():
     log.traces.append(Trace(case_id="empty", events=[]))
     for case in (log, EventLog(), EventLog(traces=[Trace(case_id="", events=[])])):
         assert write_xes(case) == _indent_and_write(_xes_element_tree(case))
+
+
+# ------------------------------------------------------------ shared events
+
+def _lift_shaped_log(seed=1):
+    """A log shaped like the benchmark's lift workload."""
+    patterns = [parse_tree(p) for p in ("seq(a,b,c)", "and(d,e)", "loop(f,g)")]
+    return generate_log(patterns, instances=2, traces=25, composition="parallel",
+                        noise_rate=0.3, seed=seed)
+
+
+def _csv_table(log):
+    return ("case,activity\n" + "".join(f"{t.case_id},{e.activity}\n"
+                                        for t in log for e in t)).encode()
+
+
+def _bytes_per_event(build):
+    """Bytes that tracemalloc sees the log made by build() hold, per event."""
+    build()  # a first call may import a codec or fill a cache the log does not hold
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = build()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / sum(len(t) for t in log)
+
+
+def test_a_log_holds_at_most_40_bytes_per_event():
+    # with one mutable event and attribute dict each, these logs held 187 B
+    # per event generated, 244 B parsed from XES and 187 B parsed from CSV
+    log = _lift_shaped_log()
+    data, table = write_xes(log), _csv_table(log)
+    sizes = {"generated": _bytes_per_event(_lift_shaped_log),
+             "xes": _bytes_per_event(lambda: parse_xes(data)),
+             "csv": _bytes_per_event(lambda: parse_csv(table, "case", "activity"))}
+    assert max(sizes.values()) <= 40, sizes
+
+
+def test_events_are_immutable_values():
+    event = Event("a", attributes={"k": "v"})
+    for name, value in (("activity", "b"), ("lifecycle", "start"), ("attributes", {})):
+        with pytest.raises(FrozenInstanceError):
+            setattr(event, name, value)
+    with pytest.raises(TypeError):
+        event.attributes["k"] = "w"
+    given = {"k": "v"}
+    event = Event("a", attributes=given)
+    given["k"] = "w"
+    assert event.attributes == {"k": "v"}
+    assert Event("a") == Event("a", attributes={})
+    assert hash(Event("a")) == hash(Event("a", attributes={}))
+    assert Event("a").attributes is Event("a", attributes={}).attributes
+    assert Event("a") != Event("a", attributes={"k": "v"})
+    log = EventLog(traces=[Trace("c", [Event("a"), Event("b", "start", attributes=given)])])
+    assert pickle.loads(pickle.dumps(log)) == log == copy.deepcopy(log)
+
+
+def test_producers_share_equal_plain_events():
+    def by_value(log):
+        shared = {}
+        for event in (e for t in log for e in t):
+            assert shared.setdefault((event.activity, event.lifecycle), event) is event
+        return shared
+    log = _lift_shaped_log()
+    letters = "abcdefghijkl"  # the patterns' activities, then the noise letters
+    generated = by_value(log)
+    assert sorted(generated) == [(a, "complete") for a in letters]
+    parsed = by_value(parse_xes(write_xes(log)))
+    assert parsed == generated
+    assert not {id(e) for e in parsed.values()} & {id(e) for e in generated.values()}
+    assert by_value(parse_csv(_csv_table(log), "case", "activity")) \
+        == {(a, None): Event(a) for a in letters}
+    # one event per (activity, lifecycle), not per activity
+    mixed = EventLog(traces=[mk_trace("abab", lifecycle="start"), mk_trace("ba"),
+                             mk_trace("ab", lifecycle="complete")])
+    assert len(by_value(parse_xes(write_xes(mixed)))) == 6
+    # abstract_log makes one start and one complete event per pattern
+    model = compose(patterns_from_models([make_lpm(parse_tree("seq(a,b)"))]))
+    high = abstract_log(mk_log(["abab", "xab", "ab"]), model)
+    assert sorted(by_value(high)) == [("LPM_1", "complete"), ("LPM_1", "start")]
+    assert sum(len(t) for t in high) == 8
+
+
+def test_timestamped_and_attribute_bearing_events_stay_distinct():
+    data = (b"<log><trace>"
+            + b"<event><string key='concept:name' value='a'/>"
+              b"<date key='time:timestamp' value='2024-01-01T00:00:00Z'/></event>" * 2
+            + b"<event><string key='concept:name' value='a'/>"
+              b"<string key='org:resource' value='r1'/></event>" * 2
+            + b"<event><string key='concept:name' value='a'/>"
+              b"<string key='org:resource' value='r2'/></event>"
+            + b"</trace></log>")
+    events = parse_xes(data).traces[0].events
+    assert len({id(e) for e in events}) == 5
+    utc = datetime.timezone.utc
+    assert [e.timestamp for e in events[:2]] == [datetime.datetime(2024, 1, 1, tzinfo=utc)] * 2
+    assert [e.attributes for e in events] == [{}, {}, {"org:resource": "r1"},
+                                              {"org:resource": "r1"}, {"org:resource": "r2"}]
+    log = parse_csv(b"case,activity,ts\n1,a,2024-01-02\n1,a,2024-01-01\n", "case",
+                    "activity", time_col="ts")
+    first, second = log.traces[0].events
+    assert first is not second
+    assert (first.timestamp.day, second.timestamp.day) == (1, 2)
+
+
+def test_xes_round_trip_is_exact():
+    odd = "x & y < z > w \" q \r\n\t end \u00e9 "
+    stamp = datetime.datetime(2024, 1, 2, 3, 4, 5, 678000)
+    log = EventLog(traces=[
+        Trace(case_id=odd, events=[
+            Event("a", "start"), Event("a", "complete"), Event("a"), Event("a", "schedule"),
+            Event("a", "start"), Event(odd, "ate_abort"),
+            Event("b", timestamp=stamp),
+            Event("b", "complete",
+                  timestamp=stamp.replace(tzinfo=datetime.timezone(datetime.timedelta(hours=2)))),
+            Event("b", timestamp=stamp.replace(tzinfo=datetime.timezone.utc),
+                  attributes={odd: odd, "": "", "k": "  \n ", "org:resource": "r"}),
+            Event("b", attributes={"k": "v"})]),
+        Trace(case_id="", events=[]),
+        Trace(case_id="c", events=[Event("a", "start"), Event("b")])])
+    data = write_xes(log)
+    back = parse_xes(data)
+    assert back == log
+    assert write_xes(back) == data
+    for want, got in zip((e for t in log for e in t), (e for t in back for e in t)):
+        assert got.timestamp is None or got.timestamp.utcoffset() == want.timestamp.utcoffset()
+        assert dict(got.attributes) == dict(want.attributes)

@@ -19,7 +19,7 @@ from loglift.eventlog import complete_word
 from loglift.lpm import ProcessTree, check_lpm_tree
 from loglift.petrinet import Replay
 from conftest import (GOLDEN, GOLDEN_GAMMAS, GOLDEN_LAMBDAS, N1_TEXT, all_words,
-                      enumerate_pattern_trees, mk_log, mk_trace, random_tree,
+                      alphabet_of, enumerate_pattern_trees, mk_log, mk_trace, random_tree,
                       split_oracle)
 
 
@@ -409,7 +409,7 @@ def test_discover_lpms_builds_a_tree_only_for_a_candidate_it_keeps(monkeypatch):
     children = {id(c) for t in built for c in t.children}
     # roots over the log's activities; the automata's trees are over "0", "1", ...
     candidates = [t for t in built if t.op is not None and id(t) not in children
-                  and t.activities() <= log.alphabet()]
+                  and t.activities() <= alphabet_of(log)]
     seeded = [t for t in candidates if _is_flat_xor(t)]
     assert kept and seeded
     assert len(candidates) == len(kept) + len(seeded)
@@ -528,7 +528,7 @@ def test_discover_lpms_seeds_flat_xors_at_their_walked_support(seed, monkeypatch
     for kwargs in ({}, {"beam_width": 3, "max_results": 3}):
         discover_lpms(log, **kwargs)
     # automata are over the leaves "0", "1", ...; the rest are ranked models
-    shapes = [t for t in automata if not t.activities() & log.alphabet()]
+    shapes = [t for t in automata if not t.activities() & alphabet_of(log)]
     assert shapes
     assert not any(_is_flat_xor(t) for t in shapes)
     monkeypatch.undo()

@@ -16,7 +16,7 @@ from loglift import (ConfigError, LpmRanking, PipelineConfig, StageError,
 from loglift.cli import _read_config, main
 from loglift.petrinet import reduce_silent
 from loglift.pipeline import config_text
-from conftest import PLANTED, mk_log
+from conftest import PLANTED, activities_of, mk_log
 
 
 def planted_log(traces=30, noise_rate=0.0, seed=3):
@@ -324,7 +324,7 @@ def test_generate_log_is_seed_deterministic():
     a = generate_log(pats, instances=1, traces=8, seed=5)
     b = generate_log(pats, instances=1, traces=8, seed=5)
     c = generate_log(pats, instances=1, traces=8, seed=6)
-    words = lambda log: [t.activities() for t in log]  # noqa: E731
+    words = lambda log: [activities_of(t) for t in log]  # noqa: E731
     assert words(a) == words(b)
     assert words(a) != words(c)
     assert len({tuple(w) for w in words(a)}) > 1  # the shuffle does vary
@@ -334,7 +334,7 @@ def test_generate_log_interleaving_keeps_occurrences_contiguous():
     log = generate_log([parse_tree("seq(a,b,c)")], instances=3, traces=20,
                        composition="interleaving", seed=1)
     for trace in log:
-        word = "".join(trace.activities())
+        word = "".join(activities_of(trace))
         assert word == "abc" * 3
 
 
@@ -356,7 +356,7 @@ def test_generate_log_validation():
     with pytest.raises(ConfigError):
         generate_log([parse_tree("a")], instances=1, traces=1, noise_rate=1.0)
     # zero instances is a degenerate but legal request: empty traces
-    assert [t.activities() for t in
+    assert [activities_of(t) for t in
             generate_log([parse_tree("a")], instances=0, traces=2)] == [[], []]
     with pytest.raises(ConfigError):
         generate_log([parse_tree("a")], instances=1, traces=1,
